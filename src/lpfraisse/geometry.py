@@ -333,13 +333,12 @@ def auerbach_basis(X: Subspace, restarts: int = 16, seed: int = 0,
                 ])
                 if np.all(cof == 0):
                     continue
-                for gg in (cof, -cof):
-                    cand = _dual_norm_argmax(gg, X)
-                    Cc = C.copy()
-                    Cc[:, j] = cand
-                    if abs(np.linalg.det(Cc)) > abs(np.linalg.det(C)) + 1e-12:
-                        C = Cc
-                        improved = True
+                # the coefficient body is symmetric, so argmax(-cof) = -argmax(cof) gives the same |det|
+                Cc = C.copy()
+                Cc[:, j] = _dual_norm_argmax(cof, X)
+                if abs(np.linalg.det(Cc)) > abs(np.linalg.det(C)) + 1e-12:
+                    C = Cc
+                    improved = True
             if not improved:
                 break
         d = abs(np.linalg.det(C))

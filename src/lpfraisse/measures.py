@@ -35,6 +35,9 @@ class DiscreteSpace:
         if any(m <= 0 for _, m in atoms):
             raise ValueError("masses must be positive")
         object.__setattr__(self, "atoms", atoms)
+        masses = np.array([float(m) for _, m in atoms])
+        masses.setflags(write=False)
+        object.__setattr__(self, "_masses", masses)
 
     @classmethod
     def uniform(cls, n: int) -> "DiscreteSpace":
@@ -46,18 +49,24 @@ class DiscreteSpace:
 
     @property
     def masses(self) -> np.ndarray:
-        return np.array([float(m) for _, m in self.atoms])
+        """Float atom masses, built once at construction; read-only."""
+        return self._masses
 
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
 
-    def norm(self, values: np.ndarray, p: PIndex) -> float:
-        """L_p(mu) norm of a function given by its atom values."""
+    def norm(self, values: np.ndarray, p: PIndex):
+        """L_p(mu) norm of a function given by its atom values (axis 0); extra
+        trailing axes hold further functions and give an array of norms."""
         v = np.abs(np.asarray(values, dtype=float))
         if p.is_inf:
-            return float(np.max(v))
-        pf = float(p)
-        return float(np.sum(self.masses * v**pf) ** (1 / pf))
+            out = np.max(v, axis=0)
+        else:
+            pf = float(p)
+            v **= pf
+            v *= self.masses.reshape((-1,) + (1,) * (v.ndim - 1))
+            out = np.sum(v, axis=0) ** (1 / pf)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

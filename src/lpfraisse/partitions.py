@@ -76,7 +76,7 @@ class PullbackPartition:
 
 def _snap_off(value: float, taken: np.ndarray) -> float:
     step = max(abs(value), 1.0) * 2.0 ** -40
-    while np.any(np.isclose(taken, value, rtol=0, atol=0)) or value in taken:
+    while np.any(taken == value):
         value += step
     return value
 
@@ -154,14 +154,15 @@ def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
 
 
 def conditional_expectation(f: np.ndarray, pullback: PullbackPartition, space: DiscreteSpace) -> np.ndarray:
-    """Mass-weighted cell averages; a norm-one projection by Jensen."""
+    """Mass-weighted cell averages; a norm-one projection by Jensen.  Atoms
+    run along axis 0; extra trailing axes hold further functions."""
     f = np.asarray(f, dtype=float)
     masses = space.masses
     out = np.empty_like(f)
     for atoms in pullback.cells.values():
         idx = list(atoms)
         w = masses[idx]
-        out[idx] = float(np.sum(w * f[idx]) / np.sum(w))
+        out[idx] = np.sum(w.reshape((-1,) + (1,) * (f.ndim - 1)) * f[idx], axis=0) / np.sum(w)
     return out
 
 
@@ -199,7 +200,8 @@ def envelope(basis_vals: np.ndarray, space: DiscreteSpace, eps: float, p,
              seed: int = 0, samples: int = 512) -> Envelope:
     """Envelope of X = span(basis): Auerbach-normalize, build an
     (eps/(6k), K)-appropriate partition, and project by conditional
-    expectation.  Requires the constant function in the span."""
+    expectation.  Requires the constant function in the span.  Every finite
+    p gives an envelope; the transfer guarantee needs p not even."""
     p = PIndex.of(p)
     if p.is_inf:
         raise ValueError("envelopes are built for finite p")
@@ -211,9 +213,6 @@ def envelope(basis_vals: np.ndarray, space: DiscreteSpace, eps: float, p,
     sol, res, *_ = np.linalg.lstsq(B, ones, rcond=None)
     if np.linalg.norm(B @ sol - ones) > 1e-8:
         raise ValueError("constant function must lie in the span of the basis")
-    if float(p) == int(float(p)) and int(float(p)) % 2 == 0:
-        pass  # construction still valid; the transfer guarantee needs p not even
-
     sub, scale = _weighted_subspace(B, space, p)
     au = auerbach_basis(sub, restarts=3, seed=seed, check_samples=500, ascent_rounds=10)
     F = au.vectors / scale[:, None]  # back to plain function values
@@ -228,14 +227,12 @@ def envelope(basis_vals: np.ndarray, space: DiscreteSpace, eps: float, p,
         xi[ci] = (w[:, None] * F[idx]).sum(axis=0) / w.sum()
 
     rng = rng_from_seed(seed + 1)
-    cs = rng.standard_normal((samples, k))
-    defect = 0.0
-    for c in cs:
-        f = F @ c
-        ef = conditional_expectation(f, pb, space)
-        nf = space.norm(f, p)
-        if nf > 1e-12:
-            defect = max(defect, space.norm(ef - f, p) / nf)
+    f = F @ rng.standard_normal((samples, k)).T  # (atoms, samples)
+    nf = space.norm(f, p)
+    ef = conditional_expectation(f, pb, space)
+    ef -= f
+    keep = nf > 1e-12
+    defect = float(np.max(space.norm(ef, p)[keep] / nf[keep], initial=0.0))
     env = Envelope(space, p, eps, part, pb, tuple(keys), tuple(masses_exact[kk] for kk in keys),
                    F, xi, defect)
     if defect > eps:
@@ -287,14 +284,10 @@ def transfer_isometry(env: Envelope, gamma_vals: np.ndarray, space1: DiscreteSpa
     isometric = all(ratios[i] * m1[key] == env.weights[i] for i, key in enumerate(env.cell_keys))
 
     rng = rng_from_seed(seed + 2)
-    cs = rng.standard_normal((samples, k))
-    defect = 0.0
-    for c in cs:
-        f0 = env.basis @ c
-        n0 = env.space.norm(f0, env.p)
-        if n0 < 1e-12:
-            continue
-        through = I @ (env.xi @ c)
-        direct = G @ c
-        defect = max(defect, space1.norm(through - direct, env.p) / n0)
+    cs = rng.standard_normal((samples, k)).T  # (k, samples)
+    n0 = env.space.norm(env.basis @ cs, env.p)
+    through = I @ (env.xi @ cs)
+    through -= G @ cs
+    keep = n0 >= 1e-12
+    defect = float(np.max(space1.norm(through, env.p)[keep] / n0[keep], initial=0.0))
     return TransferResult(I, ratios, defect, isometric)

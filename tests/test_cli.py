@@ -102,3 +102,12 @@ def test_suite_single_criterion_fast():
     out = json.loads(r.stdout)
     assert out["all_passed"] and len(out["rows"]) == 1
     assert r.returncode == 0
+
+
+def test_suite_exit_code_counts_uncertified_checks(monkeypatch, capsys):
+    from lpfraisse import cli, suite
+
+    failing = suite.CheckResult("gap-geometry", passed=False, runtime=0.0, certified=False)
+    monkeypatch.setattr(suite, "run_suite", lambda **kwargs: [failing])
+    assert cli.main(["--format", "json", "suite"]) == 1
+    assert json.loads(capsys.readouterr().out)["all_passed"] is False

@@ -45,6 +45,25 @@ class TestPushforward:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
+class TestDiscreteSpace:
+    def test_masses_cached_read_only(self):
+        sp = DiscreteSpace(((0, Fraction(1, 3)), (1, Fraction(1, 6)), (2, Fraction(1, 2))))
+        assert sp.masses.tolist() == [float(m) for _, m in sp.atoms]
+        assert sp.masses is sp.masses
+        with pytest.raises(ValueError):
+            sp.masses[0] = 1.0
+
+    def test_norm_reduces_over_axis_zero(self):
+        rng = rng_from_seed(2)
+        sp = DiscreteSpace(tuple((i, Fraction(int(rng.integers(1, 9)), 40)) for i in range(10)))
+        vals = rng.normal(size=(10, 7))
+        for p in (1, 3, None):
+            pidx = PIndex.of(p)
+            norms = sp.norm(vals, pidx)
+            assert norms.shape == (7,)
+            assert norms == pytest.approx([sp.norm(vals[:, j], pidx) for j in range(7)], rel=1e-14)
+
+
 class TestDensity:
     def test_alpha_zero_is_identity(self):
         mu = measure_1d([(1.0, 0.5), (2.0, 0.5)])

@@ -102,6 +102,16 @@ class TestConditionalExpectation:
                 err = sp.norm(vals[j] - conditional_expectation(vals[j], pb, sp), pidx)
                 assert err <= eps + 1e-12
 
+    def test_trailing_axes_match_columns(self):
+        rng = rng_from_seed(14)
+        sp = DiscreteSpace(tuple((i, Fraction(int(rng.integers(1, 9)), 50)) for i in range(18)))
+        vals = rng.normal(size=(2, 18))
+        part, pb = build_appropriate(vals, sp, 0.6, 3)
+        f = rng.normal(size=(18, 5))
+        ef = conditional_expectation(f, pb, sp)
+        for j in range(5):
+            assert ef[:, j] == pytest.approx(conditional_expectation(f[:, j], pb, sp), rel=1e-14)
+
     def test_tail_and_bounded_pieces(self):
         # restricted-piece inequalities behind the projection error
         rng = rng_from_seed(7)
@@ -197,3 +207,70 @@ class TestTransfer:
         with pytest.raises(CellMismatchError) as exc:
             transfer_isometry(env, G, sp, seed=5)
         assert exc.value.offending
+
+
+def test_batched_defects_match_per_sample_loop():
+    # reference: the defects computed one sample at a time
+    rng = rng_from_seed(15)
+    sp = DiscreteSpace(tuple((i, Fraction(int(rng.integers(1, 9)), 40)) for i in range(60)))
+    B = np.column_stack([np.ones(60), rng.normal(size=60)])
+    for p in (1, 3):
+        pidx = PIndex.of(p)
+        env = envelope(B, sp, 0.9, p, seed=6, samples=64)
+        G = env.basis
+        tr = transfer_isometry(env, G, sp, seed=6, samples=64)
+        env_defect = tr_defect = 0.0
+        for c in rng_from_seed(7).standard_normal((64, 2)):
+            f = env.basis @ c
+            err = sp.norm(conditional_expectation(f, env.pullback, sp) - f, pidx)
+            env_defect = max(env_defect, err / sp.norm(f, pidx))
+        for c in rng_from_seed(8).standard_normal((64, 2)):
+            err = sp.norm(tr.matrix @ (env.xi @ c) - G @ c, pidx)
+            tr_defect = max(tr_defect, err / sp.norm(env.basis @ c, pidx))
+        assert env.defect == pytest.approx(env_defect, rel=1e-12, abs=1e-15)
+        assert tr.defect == pytest.approx(tr_defect, rel=1e-12, abs=1e-15)
+        assert env.defect > 1e-6 and tr.defect > 1e-6
+
+
+def pinned_instance(seed, p, k, eps, n_atoms=24):
+    """Envelope of a span of few-valued functions, transferred onto the same
+    atoms with fresh masses, so that cells hold several atoms and the cell
+    ratios are not all 1."""
+    rng = rng_from_seed(seed)
+
+    def space():
+        masses = [Fraction(int(rng.integers(1, 20))) for _ in range(n_atoms)]
+        total = sum(masses)
+        return DiscreteSpace(tuple((a, m / total) for a, m in enumerate(masses)))
+
+    sp0 = space()
+    B = np.column_stack([np.ones(n_atoms)] + [rng.integers(-2, 3, size=n_atoms) / 2 for _ in range(k - 1)])
+    env = envelope(B, sp0, eps, p, seed=seed)
+    tr = transfer_isometry(env, env.basis, space(), seed=seed)
+    return env, tr
+
+
+# Each change in the Auerbach basis found or in the partition built moves
+# these cells, masses and ratios.
+PINNED = [
+    ((21, 1, 2, 0.6), 9,
+     "1/5 1/9 4/135 1/9 17/135 1/15 13/90 7/270 5/27",
+     "47/64 47/27 188/675 235/207 799/1215 47/9 611/432 329/972 1175/486"),
+    ((22, 3, 2, 0.6), 8,
+     "23/204 19/204 16/51 5/102 43/204 4/51 4/51 13/204",
+     "6371/6324 5263/2244 2216/2397 1385/816 11911/18564 277/204 277/102 3601/3672"),
+    ((23, 3, 3, 0.8), 20,
+     "7/106 13/212 3/212 3/53 7/106 13/212 9/106 13/212 13/212 3/106 "
+     "17/212 2/53 3/212 3/53 3/212 15/212 13/212 1/212 7/212 7/106",
+     "1757/424 3263/212 251/1060 753/1007 1757/1696 3263/6360 2259/4558 251/212 3263/1060 251/530 "
+     "4267/636 502/795 251/636 251/265 753/3392 3765/212 3263/2120 251/2332 1757/1696 1757/212"),
+]
+
+
+@pytest.mark.parametrize("args, cells, weights, ratios", PINNED, ids=["p1-k2", "p3-k2", "p3-k3"])
+def test_pinned_envelope_transfer(args, cells, weights, ratios):
+    env, tr = pinned_instance(*args)
+    assert env.num_cells == cells
+    assert env.weights == tuple(Fraction(w) for w in weights.split())
+    assert tr.ratios == tuple(Fraction(r) for r in ratios.split())
+    assert tr.isometric_exact
