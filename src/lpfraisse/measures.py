@@ -55,7 +55,7 @@ class DiscreteSpace:
     def total_mass(self) -> Fraction:
         return sum((m for _, m in self.atoms), Fraction(0))
 
-    def norm(self, values: np.ndarray, p: PIndex):
+    def norm(self, values: np.ndarray, p: PIndex) -> float | np.ndarray:
         """L_p(mu) norm of a function given by its atom values (axis 0); extra
         trailing axes hold further functions and give an array of norms."""
         v = np.abs(np.asarray(values, dtype=float))
