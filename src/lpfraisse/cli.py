@@ -103,7 +103,7 @@ def cmd_mazur(args) -> dict:
         out = mazur.mazur_embedding(g, mazur.MazurParams(p, q))
         return out.to_json()
     if args.action == "transfer":
-        t = mazur.transfer_instance(args.d, args.m, args.r, args.eps, p, q, seed=args.seed)
+        t = mazur.transfer_instance(args.d, args.m, args.r, args.eps, p, q)
         return t.to_json()
     raise SystemExit(f"unknown mazur action {args.action}")
 
@@ -178,7 +178,7 @@ def cmd_equi(args) -> dict:
         return {"count": str(cnt), "fraction": frac,
                 "printed_lower_bound": equi.equi_fraction_lower_bound_printed(args.n, args.s, args.delta)}
     if args.action == "alpha":
-        r = equi.concentration_exact(args.n, args.s, args.theta, args.eps, seed=args.seed)
+        r = equi.concentration_exact(args.n, args.s, args.theta, args.eps)
         return {"lower": r.lower, "upper": r.upper, "mode": r.mode,
                 "product_bound": equi.hamming_bound_exp(args.n, args.eps)}
     if args.action == "certify":
@@ -219,8 +219,8 @@ def cmd_ramsey(args) -> dict:
         return out
     if args.action == "dual":
         g = spaces.LampertiEmbedding.from_json(_read_json(args.input))
-        sigma, section = dualize_pair = ramsey.dualize(g)
-        return {"quotient": [list(map(float, row)) for row in sigma.matrix],
+        sigma, section = ramsey.dualize(g)
+        return {"quotient": [list(map(float, row)) for row in sigma],
                 "section": section.to_json()}
     if args.action == "demo":
         rep = ramsey.dual_ramsey_demo(args.d, args.m, args.e, seed=args.seed)

@@ -11,13 +11,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from lpfraisse.core import rng_from_seed
 
 SUBSET_EXACT_BUDGET = 300_000
 EXACT_DP_CAP = 2000
@@ -75,8 +73,9 @@ def hamming(F: Equisurjection, G: Equisurjection) -> Fraction:
 def match_permutation(phi: Equisurjection, psi: Equisurjection) -> tuple[int, ...]:
     """Permutation pi of T with d_H(psi . pi, phi) <= (delta + delta')/2.
 
-    Split S by which side has the bigger preimage, build index-ordered
-    injections each way, and complete to a bijection by ascending-index fill.
+    For every s, pair the preimages of s under phi and psi in index order, as
+    far as the smaller one reaches, and complete to a bijection by
+    ascending-index fill.
     """
     if phi.t_size != psi.t_size or phi.s_size != psi.s_size:
         raise ValueError("shape mismatch")
@@ -86,15 +85,9 @@ def match_permutation(phi: Equisurjection, psi: Equisurjection) -> tuple[int, ..
     pi = [None] * t
     used = [False] * t
     for s in range(phi.s_size):
-        if len(A[s]) >= len(B[s]):
-            # inject B_s into A_s; pi maps those A-points back onto B_s
-            for a_i, b_i in zip(A[s], B[s]):
-                pi[a_i] = b_i
-                used[b_i] = True
-        else:
-            for a_i, b_i in zip(A[s], B[s]):
-                pi[a_i] = b_i
-                used[b_i] = True
+        for a_i, b_i in zip(A[s], B[s]):
+            pi[a_i] = b_i
+            used[b_i] = True
     rest_dom = [i for i in range(t) if pi[i] is None]
     rest_rng = [i for i in range(t) if not used[i]]
     for a_i, b_i in zip(rest_dom, rest_rng):
@@ -141,7 +134,7 @@ def round_to_exact(F: Equisurjection) -> Equisurjection:
 
 
 def _window(n: int, s: int, delta) -> tuple[int, int]:
-    dd = Fraction(delta) if not isinstance(delta, float) else Fraction(delta)
+    dd = Fraction(delta)
     base = Fraction(n, s)
     lo = math.ceil(base * (1 - dd))
     hi = math.floor(base * (1 + dd))
@@ -249,7 +242,7 @@ def log_hoeffding_mass_bound(n: int, s: int, delta: float) -> float:
 class ConcentrationResult:
     lower: float
     upper: float
-    mode: str  # subset-exact | harper | candidates | montecarlo
+    mode: str  # subset-exact | harper | candidates | trivial
 
     @property
     def exact(self) -> bool:
@@ -273,75 +266,73 @@ def _fatten(mask: np.ndarray, n: int, s: int, steps: int) -> np.ndarray:
     return f.reshape(-1)
 
 
-def _simplicial_keys(n: int, s: int) -> np.ndarray:
-    """Sort keys: Hamming weight from the zero string, ties by the order in
-    which a one appearing earlier comes first (binary/simplicial order)."""
+def _candidate_sets(n: int, s: int, k: int) -> list[np.ndarray]:
+    """Masks of k-point candidate sets in S^n, points indexed by their base-s
+    digits, most significant first.
+
+    Always the initial segment of the simplicial order (Hamming weight from
+    the zero string, ties by earlier support; for s = 2 Harper's order) and
+    the first k points of the smallest balanced box prod [0, t_i) holding k
+    points.  For s > 2 also segments of four more orders: weight or digit
+    sum, ties by index, reversed index or largest digit.
+    """
     N = s**n
     idx = np.arange(N)
     digits = np.empty((N, n), dtype=np.int64)
     x = idx.copy()
-    for j in range(n):
-        digits[:, n - 1 - j] = x % s
+    for j in reversed(range(n)):
+        digits[:, j] = x % s
         x //= s
     weight = np.count_nonzero(digits, axis=1)
-    # earlier support first: for s = 2 this is Harper's simplicial order
     tie = np.zeros(N, dtype=np.int64)
     for j in range(n):
         tie = tie * 2 + (digits[:, j] == 0)
-    order = np.lexsort((tie, weight))
-    return order
-
-
-def _candidate_orders(n: int, s: int) -> list[np.ndarray]:
-    N = s**n
-    orders = [_simplicial_keys(n, s)]
-    digits = np.empty((N, n), dtype=np.int64)
-    x = np.arange(N)
-    for j in range(n):
-        digits[:, n - 1 - j] = x % s
-        x //= s
-    weight = np.count_nonzero(digits, axis=1)
-    dsum = digits.sum(axis=1)
-    orders.append(np.lexsort((np.arange(N), weight)))
-    orders.append(np.lexsort((np.arange(N)[::-1], weight)))
-    orders.append(np.lexsort((np.arange(N), dsum)))
-    orders.append(np.lexsort((digits.max(axis=1), dsum)))
-    return orders
-
-
-def _box_candidates(n: int, s: int, k: int) -> list[np.ndarray]:
-    """Product boxes prod [0, t_i) grown greedily past size k, trimmed later."""
-    outs = []
+    orders = [np.lexsort((tie, weight))]
+    if s > 2:
+        dsum = digits.sum(axis=1)
+        orders += [np.lexsort((idx, weight)), np.lexsort((idx[::-1], weight)),
+                   np.lexsort((idx, dsum)), np.lexsort((digits.max(axis=1), dsum))]
     t = [1] * n
     while math.prod(t) < k:
-        j = int(np.argmin(t))
-        if t[j] == s:
-            j = int(np.argmin([x if x < s else s + 1 for x in t]))
-            if t[j] >= s:
-                break
-        t[j] += 1
+        t[int(np.argmin(t))] += 1
+    box = np.flatnonzero(np.all(digits < np.array(t), axis=1))
+    masks = []
+    for take in [order[:k] for order in orders] + [box[:k]]:
+        mask = np.zeros(N, dtype=bool)
+        mask[take] = True
+        masks.append(mask)
+    return masks
+
+
+def alpha_profile(n: int, s: int, theta: float, steps: int) -> np.ndarray:
+    """1 - min cover of the candidate sets of measure >= theta, fattened by
+    t = 0..steps, as an array indexed by t.
+
+    A lower bound for alpha(theta, t/n) on (S^n, d_H); for s = 2 it is exact,
+    since fattenings of simplicial initial segments are again initial
+    segments and those are optimal (Harper).  Every candidate is fattened
+    one step at a time, so the whole profile costs one pass.
+    """
     N = s**n
-    digits = np.empty((N, n), dtype=np.int64)
-    x = np.arange(N)
-    for j in range(n):
-        digits[:, n - 1 - j] = x % s
-        x //= s
-    mask = np.all(digits < np.array(t)[None, :], axis=1)
-    outs.append(np.flatnonzero(mask))
-    return outs
+    k = max(1, math.ceil(theta * N - 1e-12))
+    covers = np.full(steps + 1, N, dtype=np.int64)
+    for cur in _candidate_sets(n, s, k):
+        covers[0] = min(covers[0], np.count_nonzero(cur))
+        for t in range(1, steps + 1):
+            cur = _fatten(cur, n, s, 1)
+            covers[t] = min(covers[t], np.count_nonzero(cur))
+    return 1.0 - covers / N
 
 
 def concentration_exact(n: int, s: int, theta: float, eps: float,
-                        subset_budget: int = SUBSET_EXACT_BUDGET,
-                        mc_trials: int = 2000, seed: int = 0) -> ConcentrationResult:
+                        subset_budget: int = SUBSET_EXACT_BUDGET) -> ConcentrationResult:
     """alpha(theta, eps) = 1 - inf{mu(A_eps) : mu(A) >= theta} on (S^n, d_H).
 
     Closed fattenings; eps floors to the attainable grid floor(eps*n)/n.
     Modes: full subset enumeration (exact) when C(N, k) fits the budget;
-    initial segments of the simplicial order for s = 2 (exact; the fattening
-    of an initial segment is again one); otherwise the max over a family of
-    candidate sets (balls, ordered segments, boxes), a certified lower bound.
-    Beyond the space cap a Monte Carlo candidate bracket is returned.
+    alpha_profile for s = 2 (exact, "harper"); otherwise alpha_profile as a
+    certified lower bound ("candidates").  Beyond the space cap only the
+    trivial bracket [0, 1 - theta] is returned ("trivial").
     """
     N = s**n
     k = max(1, math.ceil(theta * N - 1e-12))
@@ -349,11 +340,7 @@ def concentration_exact(n: int, s: int, theta: float, eps: float,
     if steps >= n:
         return ConcentrationResult(0.0, 0.0, "subset-exact")
     if N > EXACT_SPACE_CAP:
-        rng = rng_from_seed(seed)
-        best = 0.0
-        for _ in range(mc_trials):
-            pass  # sampling candidate sets of size ~theta*N is out of memory here
-        return ConcentrationResult(best, 1.0 - theta, "montecarlo")
+        return ConcentrationResult(0.0, 1.0 - theta, "trivial")
 
     if math.comb(N, k) <= subset_budget:
         reach = []
@@ -378,27 +365,8 @@ def concentration_exact(n: int, s: int, theta: float, eps: float,
         val = 1.0 - best_cover / N
         return ConcentrationResult(val, val, "subset-exact")
 
-    orders = _candidate_orders(n, s)
-    extra = _box_candidates(n, s, k)
-    best_cover = N
-    for order in orders:
-        mask = np.zeros(N, dtype=bool)
-        mask[order[:k]] = True
-        cov = int(np.count_nonzero(_fatten(mask, n, s, steps)))
-        best_cover = min(best_cover, cov)
-    for seg in extra:
-        take = seg[:k] if len(seg) >= k else seg
-        mask = np.zeros(N, dtype=bool)
-        mask[take] = True
-        if np.count_nonzero(mask) < k:
-            rest = np.setdiff1d(_simplicial_keys(n, s), take, assume_unique=False)
-            mask[rest[: k - np.count_nonzero(mask)]] = True
-        cov = int(np.count_nonzero(_fatten(mask, n, s, steps)))
-        best_cover = min(best_cover, cov)
-    val = 1.0 - best_cover / N
+    val = float(alpha_profile(n, s, theta, steps)[steps])
     if s == 2:
-        # Harper: initial segments of the simplicial order are optimal, and the
-        # first candidate order is exactly that segment family.
         return ConcentrationResult(val, val, "harper")
     return ConcentrationResult(val, 1.0 - theta, "candidates")
 
@@ -440,8 +408,17 @@ class CertLine:
         return ops[self.relation](self.lhs, self.rhs)
 
     def to_json(self):
-        return {"type": "line", "description": self.description, "lhs": self.lhs,
-                "relation": self.relation, "rhs": self.rhs, "space": self.space}
+        return {"type": "line", "description": self.description, "lhs": _encode_log(self.lhs),
+                "relation": self.relation, "rhs": _encode_log(self.rhs), "space": self.space}
+
+
+def _encode_log(x: float):
+    """JSON has no infinities: log(0) = -inf is written as the string "-inf"."""
+    return "-inf" if x == -math.inf else x
+
+
+def _decode_log(x):
+    return -math.inf if x == "-inf" else x
 
 
 @dataclass(frozen=True)
@@ -451,10 +428,9 @@ class Certificate:
     verdict: bool
 
     def to_jsonl(self) -> str:
-        out = [json.dumps({"type": "header", **self.payload}, sort_keys=True)]
-        out += [json.dumps(l.to_json(), sort_keys=True) for l in self.lines]
-        out.append(json.dumps({"type": "verdict", "ok": self.verdict}, sort_keys=True))
-        return "\n".join(out) + "\n"
+        out = [{"type": "header", **self.payload}, *(l.to_json() for l in self.lines),
+               {"type": "verdict", "ok": self.verdict}]
+        return "".join(json.dumps(o, sort_keys=True, allow_nan=False) + "\n" for o in out)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Certificate":
@@ -465,14 +441,14 @@ class Certificate:
             if t == "header":
                 header = obj
             elif t == "line":
-                lines.append(CertLine(obj["description"], obj["lhs"], obj["relation"],
-                                      obj["rhs"], obj.get("space", "linear")))
+                lines.append(CertLine(obj["description"], _decode_log(obj["lhs"]), obj["relation"],
+                                      _decode_log(obj["rhs"]), obj.get("space", "linear")))
             elif t == "verdict":
                 verdict = obj["ok"]
         return cls(header, tuple(lines), verdict)
 
 
-class CertificateSearchError(RuntimeError):
+class CertificateSearchError(ValueError):
     def __init__(self, message, failing_line: CertLine | None = None):
         super().__init__(message)
         self.failing_line = failing_line

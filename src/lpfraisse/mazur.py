@@ -9,11 +9,10 @@ so the transform is exact on that representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
-from lpfraisse.core import PIndex, norm_p, rng_from_seed, sphere_points
+from lpfraisse.core import PIndex
 from lpfraisse.spaces import LampertiEmbedding, VectorP
 
 
@@ -47,11 +46,6 @@ def mazur_map(x: VectorP, params: MazurParams) -> VectorP:
     return VectorP(out, params.q)
 
 
-def mazur_map_exact(signs_pows: list[tuple[int, Fraction]], params: MazurParams) -> list[tuple[int, Fraction]]:
-    """Exact mode on (sign, |entry|^p) data: the stored p-th powers carry over literally."""
-    return [(s, Fraction(w)) for (s, w) in signs_pows]
-
-
 def mazur_embedding(gamma: LampertiEmbedding, params: MazurParams) -> LampertiEmbedding:
     """Columnwise transport u_i -> M(gamma u_i); exact on stored weight data."""
     if gamma.p != params.p:
@@ -61,53 +55,26 @@ def mazur_embedding(gamma: LampertiEmbedding, params: MazurParams) -> LampertiEm
     return replace(gamma, p=params.q)
 
 
-_CPQ_SAMPLES = 4000
-_CPQ_SAFETY = 1.1
+def holder_constant(params: MazurParams) -> float:
+    """Sharp constant c_{p,q} = 2^(1 - p/q) of the p < q modulus.
+
+    With r = p/q <= 1, |sgn(a)|a|^r - sgn(b)|b|^r| <= 2^(1-r) |a - b|^r for
+    all reals (same signs: subadditivity of t^r; opposite signs: concavity),
+    so summing q-th powers over coordinates gives
+    ||M(x) - M(y)||_q <= 2^(1-r) ||x - y||_p^r, with equality at x = -y.
+    See Benyamini-Lindenstrauss, Geometric Nonlinear Functional Analysis,
+    ch. 9.
+    """
+    return 2.0 ** (1.0 - params.exponent)
 
 
-def continuity_modulus(params: MazurParams, t, cpq: float | None = None):
-    """tau_{p,q}(t): (p/q) t when p >= q, else c_{p,q} t^(p/q) with empirical c."""
+def continuity_modulus(params: MazurParams, t):
+    """tau_{p,q}(t): (p/q) t when p >= q, else 2^(1-p/q) t^(p/q)."""
     t = np.asarray(t, dtype=float)
     p, q = float(params.p), float(params.q)
     if p >= q:
         return (p / q) * t
-    c = estimate_cpq(params) if cpq is None else cpq
-    return c * t ** (p / q)
-
-
-_cpq_cache: dict[tuple, float] = {}
-
-
-def estimate_cpq(params: MazurParams, seed: int = 20_240_001, samples: int = _CPQ_SAMPLES) -> float:
-    """Empirical constant for the p < q modulus: max observed ratio
-    ||M(x)-M(y)||_q / ||x-y||_p^(p/q) over a seeded sphere sample, times a
-    safety factor.  No closed form is available; certificates that depend on
-    this value are stamped "empirical-constant".
-    """
-    key = (params.p, params.q, seed, samples)
-    if key in _cpq_cache:
-        return _cpq_cache[key]
-    p, q = float(params.p), float(params.q)
-    if p >= q:
-        return p / q
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for dim in (2, 3, 5, 8):
-        xs = sphere_points(rng, samples, dim, params.p)
-        ys = sphere_points(rng, samples, dim, params.p)
-        # include nearby pairs, where the modulus bites
-        ys[::2] = xs[::2] + 0.05 * rng.standard_normal((len(xs[::2]), dim))
-        ys_n = np.sum(np.abs(ys) ** p, axis=1) ** (1 / p)
-        ys = ys / ys_n[:, None]
-        mx = np.sign(xs) * np.abs(xs) ** (p / q)
-        my = np.sign(ys) * np.abs(ys) ** (p / q)
-        num = np.sum(np.abs(mx - my) ** q, axis=1) ** (1 / q)
-        den = np.sum(np.abs(xs - ys) ** p, axis=1) ** (1 / p)
-        ok = den > 1e-12
-        worst = max(worst, float(np.max(num[ok] / den[ok] ** (p / q))))
-    val = worst * _CPQ_SAFETY
-    _cpq_cache[key] = val
-    return val
+    return holder_constant(params) * t ** (p / q)
 
 
 @dataclass(frozen=True)
@@ -119,7 +86,7 @@ class TransferredInstance:
     p: PIndex
     q: PIndex
     eps_transferred: float
-    empirical_constant: float | None
+    constant: float | None
     warning: str | None = None
 
     def to_json(self):
@@ -131,21 +98,21 @@ class TransferredInstance:
             "q": self.q.to_json(),
             "eps": self.eps,
             "eps_transferred": self.eps_transferred,
-            "empirical_constant": self.empirical_constant,
+            "constant": self.constant,
             "warning": self.warning,
         }
 
 
-def transfer_ramsey_instance(inst, q, seed: int = 20_240_001):
+def transfer_ramsey_instance(inst, q):
     """Typed form: move a whole instance carrier to exponent q (witness data
     does not transport; the certified n must be re-derived at the new error)."""
     from lpfraisse.ramsey import RamseyInstance
 
-    t = transfer_instance(inst.d, inst.m, inst.r, inst.eps, inst.p, q, seed=seed)
+    t = transfer_instance(inst.d, inst.m, inst.r, inst.eps, inst.p, q)
     return RamseyInstance(t.q, inst.d, inst.m, inst.r, t.eps_transferred, inst.delta)
 
 
-def transfer_instance(d: int, m: int, r: int, eps: float, p, q, seed: int = 20_240_001) -> TransferredInstance:
+def transfer_instance(d: int, m: int, r: int, eps: float, p, q) -> TransferredInstance:
     """Move a Ramsey instance between exponents: same (d, m, r), the admitted
     error becomes tau_{p,q}(eps).  Witness families transport through
     mazur_embedding with the same modulus.
@@ -162,5 +129,5 @@ def transfer_instance(d: int, m: int, r: int, eps: float, p, q, seed: int = 20_2
     pf, qf = float(p), float(q)
     if pf >= qf:
         return TransferredInstance(d, m, r, eps, p, q, (pf / qf) * eps, None, warning)
-    c = estimate_cpq(params, seed=seed)
+    c = holder_constant(params)
     return TransferredInstance(d, m, r, eps, p, q, c * eps ** (pf / qf), c, warning)

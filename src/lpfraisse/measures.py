@@ -9,7 +9,6 @@ cancellation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from lpfraisse.core import FLOAT_TOL, PIndex, rng_from_seed
+from lpfraisse.core import PIndex, rng_from_seed
 
 EXACT_LP_ATOM_CAP = 20
 
@@ -663,6 +662,20 @@ def _rational_null_vector(points: list[Fraction], order: int) -> list[Fraction]:
     return _null_vector_of_rows([[Fraction(z) ** j for z in points] for j in range(order + 1)])
 
 
+def _split_null_vector(points: list[Fraction], w: list[Fraction]) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """Positive and negative parts of a null vector w on the line, each
+    normalized to a probability measure.  The zeroth moment of w cancels, so
+    both parts carry the same mass; a one-signed w is refused."""
+    pos = [(z, q) for z, q in zip(points, w) if q > 0]
+    neg = [(z, -q) for z, q in zip(points, w) if q < 0]
+    if not pos or not neg:
+        raise ValueError("null vector has no sign change")
+    s = sum(q for _, q in pos)
+    mu = DiscreteMeasure(np.array([[float(z)] for z, _ in pos]), np.array([float(q / s) for _, q in pos]))
+    nu = DiscreteMeasure(np.array([[float(z)] for z, _ in neg]), np.array([float(q / s) for _, q in neg]))
+    return mu, nu
+
+
 @dataclass(frozen=True)
 class CounterexampleReport:
     mu: DiscreteMeasure
@@ -682,13 +695,7 @@ def even_p_counterexample(p: int, grid_count: int = 1000, grid_radius: float = 5
         raise ValueError("p must be a positive even integer")
     half = p // 2 + 1
     points = [Fraction(i) for i in range(-half, half + 1)]
-    w = _rational_null_vector(points, p)
-    pos = [(z, q) for z, q in zip(points, w) if q > 0]
-    neg = [(z, -q) for z, q in zip(points, w) if q < 0]
-    s = sum(q for _, q in pos)
-    assert s == sum(q for _, q in neg), "zeroth moment must cancel"
-    mu = DiscreteMeasure(np.array([[float(z)] for z, _ in pos]), np.array([float(q / s) for _, q in pos]))
-    nu = DiscreteMeasure(np.array([[float(z)] for z, _ in neg]), np.array([float(q / s) for _, q in neg]))
+    mu, nu = _split_null_vector(points, _rational_null_vector(points, p))
     grid = PCharGrid.line(-grid_radius, grid_radius, grid_count)
     gap = float(np.max(np.abs(p_characteristic_grid(mu, grid, p) - p_characteristic_grid(nu, grid, p))))
     lp = levy_prokhorov(mu, nu).value
@@ -735,16 +742,9 @@ def odd_p_falsification_search(p: int, trials: int, seed: int):
             pts = sorted(set(pts) | {int(rng.integers(-15, 16))})
         points = [Fraction(z) for z in pts]
         try:
-            w = _rational_null_vector(points, p)
+            mu, nu = _split_null_vector(points, _rational_null_vector(points, p))
         except ValueError:
             continue
-        pos = [(z, q) for z, q in zip(points, w) if q > 0]
-        neg = [(z, -q) for z, q in zip(points, w) if q < 0]
-        if not pos or not neg:
-            continue
-        s = sum(q for _, q in pos)
-        mu = DiscreteMeasure(np.array([[float(z)] for z, _ in pos]), np.array([float(q / s) for _, q in pos]))
-        nu = DiscreteMeasure(np.array([[float(z)] for z, _ in neg]), np.array([float(q / s) for _, q in neg]))
         # disjoint integer supports with unit total mass: taking A = supp(mu),
         # the defining inequality fails below min(1, min cross distance), so
         # the LP distance is at least 1 here; no per-trial exact solve needed

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from lpfraisse.core import PIndex, rng_from_seed
-from lpfraisse.equi import Certificate, Equisurjection, canonical_exact, _window
-from lpfraisse.spaces import ColumnEntry, LampertiEmbedding, LinearMap
+from lpfraisse.equi import Certificate, canonical_exact, _window
+from lpfraisse.spaces import ColumnEntry, LampertiEmbedding
 
 EXHAUSTIVE_BUDGET = 2**24
 
@@ -512,16 +512,6 @@ def is_rigid(values) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class QuoMatrix:
-    """Quotient l_1^n -> l_1^d: every column a scalar multiple of a unit vector."""
-
-    matrix: np.ndarray  # (d, n)
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-
-
 def quo_check(M: np.ndarray, mode: str = "disjoint") -> tuple[bool, list[int]]:
     """Verify the dual membership chain of a quotient matrix, exactly.
 
@@ -570,25 +560,26 @@ def gamma_f_theta(f, theta, m: int) -> LampertiEmbedding:
     return LampertiEmbedding(d, m, PIndex.of(None), cols)
 
 
-def dualize(gamma: LampertiEmbedding) -> tuple[QuoMatrix, LampertiEmbedding]:
+def dualize(gamma: LampertiEmbedding) -> tuple[np.ndarray, LampertiEmbedding]:
     """Transpose of a disjoint-preserving sup-norm embedding, plus a section.
 
-    Returns (sigma, gamma_{f,theta}) with sigma . gamma_{f,theta} = Id exact.
+    Returns (sigma, gamma_{f,theta}) with sigma . gamma_{f,theta} = Id exact;
+    sigma is the (d, n) quotient matrix l_1^n -> l_1^d, every column a scalar
+    multiple of a unit vector.
     """
     if not gamma.p.is_inf:
         raise ValueError("dualize expects a sup-norm embedding")
-    A = gamma.to_linear_map().matrix  # (n, d)
-    sigma = QuoMatrix(A.T)
-    ok, off = quo_check(sigma.matrix, "disjoint")
+    sigma = gamma.to_linear_map().matrix.T  # (d, n)
+    ok, off = quo_check(sigma, "disjoint")
     if not ok:
         raise ValueError(f"dual chain fails at columns {off}")
-    d, n = sigma.matrix.shape
+    d, n = sigma.shape
     f, theta = [], []
     for k in range(d):
         col = None
         for j in range(n):
-            v = sigma.matrix[k, j]
-            if abs(v) == 1.0 and np.count_nonzero(sigma.matrix[:, j]) == 1:
+            v = sigma[k, j]
+            if abs(v) == 1.0 and np.count_nonzero(sigma[:, j]) == 1:
                 col, sign = j, int(np.sign(v))
                 break
         if col is None:
@@ -596,7 +587,7 @@ def dualize(gamma: LampertiEmbedding) -> tuple[QuoMatrix, LampertiEmbedding]:
         f.append(col)
         theta.append(sign)
     section = gamma_f_theta(f, theta, n)
-    comp = sigma.matrix @ section.to_linear_map().matrix
+    comp = sigma @ section.to_linear_map().matrix
     assert np.array_equal(comp, np.eye(d)), "section identity must hold exactly"
     return sigma, section
 

@@ -9,7 +9,7 @@ evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -324,10 +324,6 @@ def compose(S, T):
     return LinearMap(sm @ tm, t_dom, s_cod)
 
 
-def apply(T, x: VectorP) -> VectorP:
-    return T.apply(x)
-
-
 def northwest_coupling(row: Sequence[Fraction], col: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:
     """Deterministic coupling of two equal-mass nonnegative rational vectors.
 
@@ -379,7 +375,8 @@ def product_coupling(row: Sequence[Fraction], col: Sequence[Fraction]) -> dict[t
 
 
 def amalgamate(gamma: LampertiEmbedding, eta: LampertiEmbedding, coupling: str = "northwest"):
-    """Common extension of two isometric structured embeddings of the same space.
+    """Common extension of two isometric structured embeddings of the same
+    space, for finite p.
 
     Returns (N, i, j) with i, j isometric and i . gamma = j . eta holding as an
     exact identity on the stored (sign, weight_pow) data: per source coordinate
@@ -388,6 +385,10 @@ def amalgamate(gamma: LampertiEmbedding, eta: LampertiEmbedding, coupling: str =
     """
     if gamma.p != eta.p:
         raise ValueError("p mismatch")
+    if gamma.p.is_inf:
+        # the sup-norm weight data are coefficient moduli, not masses summing
+        # to 1 per column, so there is nothing to couple
+        raise ValueError("amalgamation is defined for finite p only")
     if gamma.d != eta.d:
         raise ValueError("domain dimension mismatch")
     if not gamma.is_isometric() or not eta.is_isometric():

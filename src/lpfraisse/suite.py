@@ -209,37 +209,6 @@ def check_matching_bound(seed=0, fast=False) -> CheckResult:
 # 5 -------------------------------------------------------------------------
 
 
-def _alpha_profile(n, s, theta):
-    """alpha(theta, t/n) for t = 0..n-1 with the best available mode."""
-    N = s**n
-    k = max(1, math.ceil(theta * N - 1e-12))
-    orders = equi._candidate_orders(n, s)
-    if s == 2:
-        orders = orders[:1]  # simplicial initial segments are optimal here
-    cands = []
-    for order in orders:
-        m = np.zeros(N, dtype=bool)
-        m[order[:k]] = True
-        cands.append(m)
-    for seg in equi._box_candidates(n, s, k):
-        m = np.zeros(N, dtype=bool)
-        m[seg[:k]] = True
-        if np.count_nonzero(m) < k:
-            rest = np.setdiff1d(orders[0], seg[:k])
-            m[rest[: k - np.count_nonzero(m)]] = True
-        cands.append(m)
-    covers = np.full(n, N, dtype=np.int64)
-    for m in cands:
-        cur = m.copy()
-        covers[0] = min(covers[0], int(np.count_nonzero(cur)))
-        for t in range(1, n):
-            cur = equi._fatten(cur, n, s, 1)
-            covers[t] = min(covers[t], int(np.count_nonzero(cur)))
-    alphas = 1.0 - covers / N
-    mode = "harper" if s == 2 else "candidates"
-    return alphas, mode
-
-
 @_timed
 def check_concentration_bound(seed=0, fast=False) -> CheckResult:
     """alpha(1/2, eps) never exceeds exp(-eps^2 n / 8) on every product space
@@ -257,7 +226,7 @@ def check_concentration_bound(seed=0, fast=False) -> CheckResult:
         if s**n > cap:
             continue
         while s**n <= cap:
-            alphas, mode = _alpha_profile(n, s, 0.5)
+            alphas = equi.alpha_profile(n, s, 0.5, n - 1)
             for t in range(n):
                 bound = equi.hamming_bound_exp(n, t / n)
                 worst_margin = min(worst_margin, bound - alphas[t])
@@ -444,8 +413,9 @@ def check_hilbert_rounding(seed=0, fast=False) -> CheckResult:
 
 @_timed
 def check_mazur(seed=0, fast=False) -> CheckResult:
-    """Involution exact on stored data, norm identity, and the sampled
-    continuity modulus within its stamped bound."""
+    """Involution exact on stored data, norm identity, and sampled pairs
+    within the closed-form continuity modulus: (p/q) t for p >= q,
+    2^(1-p/q) t^(p/q) for p < q."""
     rng = rng_from_seed(seed)
     ok = True
     # exact involution and weight preservation on structured embeddings

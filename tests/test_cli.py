@@ -61,11 +61,19 @@ def test_certify_and_replay(tmp_path):
     assert r3.returncode == 1
 
 
+def test_certify_refusal_exit_code():
+    r = run_cli("equi", "certify", "-d", "2", "-m", "4", "-r", "2", "--eps", "0.001", "--delta", "0.1")
+    assert r.returncode == 2
+    assert json.loads(r.stdout)["error"] == "no certified n within budget"
+    assert "Traceback" not in r.stderr
+
+
 def test_mazur_transfer():
     r = run_cli("mazur", "transfer", "--p", "3", "--q", "1",
                 "-d", "2", "-m", "4", "-r", "2", "--eps", "0.1")
     out = json.loads(r.stdout)
     assert out["eps_transferred"] == pytest.approx(0.3)
+    assert out["constant"] is None
 
 
 def test_lattice_round_stdin():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -216,6 +217,48 @@ class TestConcentration:
     def test_smallest_n_helper(self):
         assert smallest_n_for_bound(0.5, 0.5) == 23
 
+    # (mode, lower, upper) for t = 0..n at theta = 1/2: reported values must
+    # not drift when the candidate engine changes
+    PINNED = {
+        (16, 2): [("harper", v, v) for v in (
+            0.5, 0.303619384765625, 0.15087890625, 0.059234619140625, 0.017578125,
+            0.003692626953125, 0.00048828125, 3.0517578125e-05)]
+        + [("harper", 0.0, 0.0)] * 8 + [("subset-exact", 0.0, 0.0)],
+        (10, 3): [("candidates", v, 0.5) for v in (
+            0.49999153245609573, 0.23871699774763333, 0.0693661196633305, 0.0086707649579163,
+            0.00018628596589276292)]
+        + [("candidates", 0.0, 0.5)] * 5 + [("subset-exact", 0.0, 0.0)],
+    }
+
+    @pytest.mark.parametrize("n,s", sorted(PINNED))
+    def test_pinned_values(self, n, s):
+        got = [concentration_exact(n, s, 0.5, t / n) for t in range(n + 1)]
+        assert [(r.mode, r.lower, r.upper) for r in got] == self.PINNED[(n, s)]
+
+    def test_pinned_theta_quarter(self):
+        lowers = [concentration_exact(10, 3, 0.25, t / 10).lower for t in range(6)]
+        assert lowers == [0.7499872986841436, 0.49883994648512253, 0.23844603634269845,
+                          0.0693661196633305, 0.0086707649579163, 0.00018628596589276292]
+
+    def test_profile_matches_fattening_from_scratch(self):
+        for (n, s, th) in ((9, 2, 0.3), (6, 3, 0.5), (5, 4, 0.75)):
+            N = s**n
+            cands = equi._candidate_sets(n, s, max(1, math.ceil(th * N - 1e-12)))
+            prof = equi.alpha_profile(n, s, th, n - 1)
+            for t in range(n):
+                cover = min(np.count_nonzero(equi._fatten(m, n, s, t)) for m in cands)
+                assert prof[t] == 1.0 - cover / N
+
+    def test_trivial_bracket_beyond_cap(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        r = concentration_exact(21, 2, 0.5, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (r.mode, r.lower, r.upper, r.exact) == ("trivial", 0.0, 0.5, False)
+        assert peak < 100_000  # nothing of size 2^21 was built
+
 
 class TestCertificates:
     def test_single_color_trivial(self):
@@ -243,6 +286,23 @@ class TestCertificates:
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             sufficient_n_certificate(3, 4, 2, 0.4, 0.1)
+
+    def test_log_zero_round_trip(self):
+        cert = equi._certificate_for(2, 4, 2, 0.4, 0.0, 6)
+        assert any(l.lhs == -math.inf or l.rhs == -math.inf for l in cert.lines)
+        text = cert.to_jsonl()
+        for raw in text.splitlines():
+            json.loads(raw, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        again = Certificate.from_jsonl(text)
+        assert again == cert
+        assert replay(again) == replay(cert) and again.to_jsonl() == text
+
+    def test_finite_certificate_bytes(self):
+        _, cert = sufficient_n_certificate(2, 4, 2, 0.4, 0.1)
+        head = ('{"d": 2, "delta": 0.1, "eps": 0.4, "kind": "equi-ramsey", "m": 4, "n": 720, '
+                '"r": 2, "type": "header"}\n')
+        assert cert.to_jsonl().startswith(head)
+        assert cert.to_jsonl().endswith('{"ok": true, "type": "verdict"}\n')
 
     def test_budget_exhaustion_reports_failing_line(self):
         with pytest.raises(CertificateSearchError) as exc:

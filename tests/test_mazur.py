@@ -98,7 +98,7 @@ class TestMazurEmbedding:
 class TestTransfer:
     def test_p_equals_q(self):
         t = transfer_instance(2, 4, 2, 0.1, 3, 3)
-        assert t.eps_transferred == 0.1 and t.empirical_constant is None
+        assert t.eps_transferred == 0.1 and t.constant is None
 
     def test_contracting_direction_example(self):
         t = transfer_instance(2, 4, 2, 0.1, 3, 1)
@@ -115,8 +115,8 @@ class TestTransfer:
 
     def test_expanding_direction_stamps_constant(self):
         t = transfer_instance(2, 4, 2, 0.1, 1, 3)
-        assert t.empirical_constant is not None
-        assert t.eps_transferred == pytest.approx(t.empirical_constant * 0.1 ** (1 / 3))
+        assert t.constant is not None
+        assert t.eps_transferred == pytest.approx(t.constant * 0.1 ** (1 / 3))
 
     def test_exponent_two_warns(self):
         t = transfer_instance(2, 4, 2, 0.1, 2, 3)
@@ -125,6 +125,25 @@ class TestTransfer:
     def test_infinite_exponent_rejected(self):
         with pytest.raises(ValueError):
             transfer_instance(2, 4, 2, 0.1, None, 3)
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (Fraction(3, 2), 2), (2, 3), (3, 5), (1, 4)])
+    def test_closed_form_constant(self, p, q):
+        pf, qf = float(p), float(q)
+        t = transfer_instance(2, 4, 2, 0.1, p, q)
+        assert t.constant == 2 ** (1 - pf / qf)
+        assert t.eps_transferred == t.constant * 0.1 ** (pf / qf)
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (1, 3), (Fraction(3, 2), 2), (2, 3)])
+    def test_constant_attained_at_antipodes(self, p, q):
+        # ||M(x) - M(-x)||_q = 2^(1-p/q) ||x - (-x)||_p^(p/q) on the unit sphere
+        params = MazurParams(p, q)
+        pf, qf = float(p), float(q)
+        xs = rng_from_seed(6).standard_normal((200, 4))
+        xs /= np.sum(np.abs(xs) ** pf, axis=1)[:, None] ** (1 / pf)
+        mx = np.sign(xs) * np.abs(xs) ** (pf / qf)
+        lhs = np.sum(np.abs(2 * mx) ** qf, axis=1) ** (1 / qf)
+        dist = np.sum(np.abs(2 * xs) ** pf, axis=1) ** (1 / pf)
+        assert lhs == pytest.approx(mazur.continuity_modulus(params, dist), rel=1e-12)
 
 
 def test_monochromatic_family_transports():

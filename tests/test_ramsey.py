@@ -182,14 +182,14 @@ class TestQuoDuality:
         # u_0 -> -u_1 into the plane: dual rows are (0, -u_0)
         g = gamma_f_theta([1], [-1], 2)
         sigma, section = dualize(g)
-        assert sigma.matrix.tolist() == [[0.0, -1.0]]
-        comp = sigma.matrix @ section.to_linear_map().matrix
+        assert sigma.tolist() == [[0.0, -1.0]]
+        comp = sigma @ section.to_linear_map().matrix
         assert np.array_equal(comp, np.eye(1))
 
     def test_positive_lattice_chain(self):
         g = gamma_f_theta([0, 2], [1, 1], 3)
         sigma, _ = dualize(g)
-        ok, off = quo_check(sigma.matrix, "lattice")
+        ok, off = quo_check(sigma, "lattice")
         assert ok and not off
 
     def test_violating_row(self):
@@ -206,7 +206,7 @@ class TestQuoDuality:
             theta = [int(v) for v in rng.choice([-1, 1], size=d)]
             g = gamma_f_theta(f, theta, m)
             sigma, section = dualize(g)
-            comp = sigma.matrix @ section.to_linear_map().matrix
+            comp = sigma @ section.to_linear_map().matrix
             assert np.array_equal(comp, np.eye(d))
 
 

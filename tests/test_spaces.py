@@ -144,6 +144,15 @@ class TestAmalgamation:
         with pytest.raises(ValueError):
             amalgamate(a, b)
 
+    def test_refuses_sup_norm(self):
+        # both isometric at p = inf (largest modulus 1); the stored moduli are
+        # not masses, so no coupling applies
+        g = lamperti(1, 2, None, [[(1, -1, 1)]])
+        e = lamperti(1, 2, None, [[(0, 1, 1), (1, 1, Fraction(1, 2))]])
+        assert g.is_isometric() and e.is_isometric()
+        with pytest.raises(ValueError, match="finite p"):
+            amalgamate(g, e)
+
 
 class TestCouplings:
     def test_northwest_margins(self):
