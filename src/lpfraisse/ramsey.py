@@ -312,26 +312,39 @@ def _sweep_general(U, r, ball, orbit_masks, total) -> RamseyCheckResult:
 
 def _sweep_two_colors(U, ball, orbit_masks, total) -> RamseyCheckResult:
     balls = np.array(ball, dtype=np.uint64)
-    full = np.uint64((1 << U) - 1)
-    chunk = 1 << 18
+    chunk = min(1 << 18, total)  # total = 2**U, so chunks tile it exactly
+    # one set of chunk buffers, updated in place: fresh multi-megabyte
+    # temporaries per coordinate cost more than the bit operations on them
+    cs = np.arange(chunk, dtype=np.uint64)
+    f1, f0, tmp = (np.empty(chunk, dtype=np.uint64) for _ in range(3))
+    ok, hit = np.empty(chunk, dtype=bool), np.empty(chunk, dtype=bool)
     for base in range(0, total, chunk):
-        cnt = min(chunk, total - base)
-        cs = np.arange(base, base + cnt, dtype=np.uint64)
-        f1 = np.zeros(cnt, dtype=np.uint64)
-        f0 = np.zeros(cnt, dtype=np.uint64)
+        f1.fill(0)
+        f0.fill(0)
         for u in range(U):
-            bit = (cs >> np.uint64(u)) & np.uint64(1)
-            sel = bit.astype(bool)
-            f1[sel] |= balls[u]
-            f0[~sel] |= balls[u]
-        ok = np.zeros(cnt, dtype=bool)
+            # tmp = ball[u] where coordinate u has color 1, else 0
+            np.right_shift(cs, np.uint64(u), out=tmp)
+            np.bitwise_and(tmp, np.uint64(1), out=tmp)
+            np.multiply(tmp, balls[u], out=tmp)
+            np.bitwise_or(f1, tmp, out=f1)
+            np.bitwise_xor(tmp, balls[u], out=tmp)
+            np.bitwise_or(f0, tmp, out=f0)
+        # orbit masks only hold bits below U, so a class covers the orbit
+        # exactly when the complement of its fattening misses the mask
+        np.invert(f1, out=f1)
+        np.invert(f0, out=f0)
+        ok.fill(False)
         for om in orbit_masks:
             omv = np.uint64(om)
-            ok |= ((omv & (~f1 & full)) == 0) | ((omv & (~f0 & full)) == 0)
+            for f in (f1, f0):
+                np.bitwise_and(f, omv, out=tmp)
+                np.equal(tmp, 0, out=hit)
+                ok |= hit
         if not np.all(ok):
-            bad = int(cs[np.flatnonzero(~ok)[0]])
+            bad = base + int(np.flatnonzero(~ok)[0])
             coloring = tuple((bad >> u) & 1 for u in range(U))
             return RamseyCheckResult(True, False, total, coloring)
+        cs += np.uint64(chunk)
     return RamseyCheckResult(True, True, total)
 
 

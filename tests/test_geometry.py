@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy.spatial.distance import cdist
 
-from lpfraisse.core import PIndex, rng_from_seed
+from lpfraisse.core import PIndex, norm_p, rng_from_seed
 from lpfraisse.geometry import (
-    GapPreconditionError, Subspace, auerbach_basis, bm_from_gap, bm_upper_estimate,
-    dist_to_unit_ball, gap_estimate,
+    GapPreconditionError, Subspace, _dists_to_unit_ball, auerbach_basis, bm_from_gap,
+    bm_upper_estimate, dist_to_unit_ball, gap_estimate,
 )
 from lpfraisse.spaces import VectorP
 
@@ -61,7 +63,100 @@ class TestDistToBall:
         assert np.sum(np.abs(y) ** 3) <= 1 + 1e-9
 
 
+def one_point_lp(x, B, p):
+    """Reference: the distance-to-ball LP of a single point, dense, one solve."""
+    n, k = B.shape
+    if p.is_inf:
+        one, nil = np.ones((n, 1)), np.zeros((n, 1))
+        A = np.vstack([np.hstack([-B, -one]), np.hstack([B, -one]),
+                       np.hstack([B, nil]), np.hstack([-B, nil])])
+        b = np.concatenate([-x, x, np.ones(2 * n)])
+        obj = np.concatenate([np.zeros(k), [1.0]])
+        bounds = [(None, None)] * k + [(0, None)]
+    else:
+        eye, zero = np.eye(n), np.zeros((n, n))
+        A = np.vstack([np.hstack([-B, -eye, zero]), np.hstack([B, -eye, zero]),
+                       np.hstack([B, zero, -eye]), np.hstack([-B, zero, -eye]),
+                       np.concatenate([np.zeros(k + n), np.ones(n)])[None, :]])
+        b = np.concatenate([-x, x, np.zeros(2 * n), [1.0]])
+        obj = np.concatenate([np.zeros(k), np.ones(n), np.zeros(n)])
+        bounds = [(None, None)] * k + [(0, None)] * (2 * n)
+    res = scipy.optimize.linprog(obj, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+class TestStackedDistances:
+    @pytest.mark.parametrize("p", [1, None])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_one_point_lps(self, p, k):
+        rng = rng_from_seed(20 + k)
+        pidx = PIndex.of(p)
+        Y = Subspace(4, pidx, rng.standard_normal((4, k)))
+        P = rng.standard_normal((50, 4)) * rng.uniform(0.1, 3, size=(50, 1))
+        d, ys = _dists_to_unit_ball(P, Y)
+        ref = np.array([one_point_lp(x, Y.basis, pidx) for x in P])
+        assert np.max(np.abs(d - ref)) <= 1e-12
+        for x, y, di in zip(P, ys, d):
+            assert norm_p(y, pidx) <= 1 + 1e-9
+            assert norm_p(x - y, pidx) == pytest.approx(di, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1, None])
+    def test_failed_block_raises(self, p):
+        # HiGHS reads |b| >= 1e20 as infinite: one such block fails the stacked LP
+        rng = rng_from_seed(31)
+        Y = Subspace(4, PIndex.of(p), rng.standard_normal((4, 2)))
+        P = rng.standard_normal((50, 4))
+        P[17, 2] = 1e20
+        with pytest.raises(RuntimeError, match="LP failed"):
+            _dists_to_unit_ball(P, Y)
+
+
+def perturbed_pair(p, k):
+    rng = rng_from_seed(100 + k)
+    A = rng.standard_normal((4, k))
+    B = A + 0.05 * rng.standard_normal((4, k))
+    return Subspace(4, PIndex.of(p), A), Subspace(4, PIndex.of(p), B)
+
+
+# (lower, upper) of gap_estimate(budget=12, seed=3) on perturbed_pair(p, k), from
+# the per-point LPs and the dense cdist mesh that the stacked LP and k-d tree replaced
+PINNED_GAPS = {
+    (1, 1): (0.04398195298105992, 0.04398195298106042),
+    (1, 2): (0.04662482194527859, 1.126414794711799),
+    (1, 3): (0.059762483422734686, 1.551533561268487),
+    (2, 1): (0.04130792976683514, 0.04130792976683566),
+    (2, 2): (0.04389665598053251, 0.9598964152886246),
+    (2, 3): (0.08316384835813731, 1.7598737595681417),
+    (None, 1): (0.045116006353792704, 0.045116006353792815),
+    (None, 2): (0.056568758545558706, 1.0711900964186387),
+    (None, 3): (0.12070156606033855, 1.9787771974694897),
+}
+
+
 class TestGapEstimate:
+    @pytest.mark.parametrize("p, k", sorted(PINNED_GAPS, key=str))
+    def test_pinned(self, p, k):
+        g = gap_estimate(*perturbed_pair(p, k), budget=12, seed=3)
+        lower, upper = PINNED_GAPS[p, k]
+        assert g.lower == pytest.approx(lower, rel=1e-12)
+        assert g.upper == pytest.approx(upper, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, None])
+    @pytest.mark.parametrize("k, budget", [(1, 8), (2, 40), (3, 300)])
+    def test_mesh_matches_cdist(self, p, k, budget):
+        X, Y = perturbed_pair(p, k)
+        extra = X.basis.T / np.array([norm_p(v, X.ambient_p) for v in X.basis.T])[:, None]
+        g = gap_estimate(X, Y, budget=budget, seed=5, extra_points=extra)
+        metric = {1: "cityblock", 2: "euclidean", None: "chebyshev"}[p]
+        rng = rng_from_seed(5)
+        mesh = 0.0
+        for A, pts in ((X, np.vstack([X.sphere_grid(budget), extra])), (Y, Y.sphere_grid(budget))):
+            probes = A.sphere_sample(rng, 4 * budget)
+            mesh = max(mesh, float(np.max(np.min(cdist(probes, pts, metric=metric), axis=1))))
+        assert g.upper == g.lower + 2 * mesh
+
+
     def test_equal_subspaces(self):
         X = coord_subspace(3, 1, [0, 1])
         g = gap_estimate(X, X, budget=24, seed=0)

@@ -96,6 +96,19 @@ class TestExhaustive:
         assert res.decided and res.holds
         assert res.colorings == 2**20
 
+    def test_pinned_counterexample(self):
+        # the first failing coloring in sweep order
+        res = exhaustive_ramsey_check(6, 2, 6, 2, 0.55, 0.0)
+        assert res.decided and not res.holds and res.colorings == 2**20
+        assert res.counterexample == (1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0)
+
+    def test_sweep_counterexample_past_first_chunk(self):
+        # singleton balls and one orbit {18, 19}: a coloring fails exactly when
+        # it splits 18 from 19, first at index 2**18, the start of chunk two
+        res = ramsey._sweep_two_colors(20, [1 << u for u in range(20)], [3 << 18], 2**20)
+        assert not res.holds
+        assert res.counterexample == tuple(int(u == 18) for u in range(20))
+
     def test_small_negative_case(self):
         # with a zero fattening radius and fine colorings the statement fails
         res = exhaustive_ramsey_check(4, 2, 2, 2, 0.0, 0.0)
