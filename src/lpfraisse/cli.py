@@ -252,6 +252,8 @@ def cmd_suite(args) -> tuple[dict, int]:
         return {"rows": [{"replay": args.replay, "ok": ok}]}, 0 if ok else 1
     names = args.criteria.split(",") if args.criteria else None
     results = suite.run_suite(seed=args.seed, fast=args.fast, names=names)
+    for r in results:
+        print(f"{r.name} {r.runtime:.3f}", file=sys.stderr)
     rows = [r.row() for r in results]
     all_ok = all(r.passed for r in results)
     return {"rows": rows, "all_passed": all_ok, "seed": args.seed}, 0 if all_ok else 1

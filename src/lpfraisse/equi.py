@@ -376,14 +376,6 @@ def hamming_bound_exp(n: int, eps: float) -> float:
     return math.exp(-(eps**2) * n / 8)
 
 
-def smallest_n_for_bound(eps: float, theta: float) -> int:
-    """Smallest n with exp(-eps^2 n / 8) < theta."""
-    n = int(math.floor(8 * math.log(1 / theta) / eps**2)) + 1
-    while hamming_bound_exp(n, eps) >= theta:
-        n += 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------

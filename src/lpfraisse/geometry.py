@@ -387,33 +387,3 @@ def bm_from_gap(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0) -> Bm
     bound = float(np.log((1 + kd) / (1 - kd)))
     theta = LinearMap(ys, X.ambient_p, Y.ambient_p)  # columns = images of the Auerbach basis
     return BmBridge(theta, xs, ys, dmax, bound, gap)
-
-
-def bm_upper_estimate(X: Subspace, Y: Subspace, seed: int = 0, tries: int = 32) -> float:
-    """Upper-bound estimator for the Banach-Mazur pseudometric via random +
-    local search over invertible coefficient maps.  Estimate only; exact
-    d_BM is out of scope.
-    """
-    if X.dim != Y.dim:
-        raise ValueError("dimension mismatch")
-    k = X.dim
-    rng = rng_from_seed(seed)
-    samples = rng.standard_normal((256, k))
-
-    def distortion_of(M):
-        vals = []
-        for a in samples:
-            vx = norm_p(X.basis @ a, X.ambient_p)
-            vy = norm_p(Y.basis @ (M @ a), Y.ambient_p)
-            if vx > 1e-12:
-                vals.append(vy / vx)
-        vals = np.array(vals)
-        return float(np.log(np.max(vals) / np.min(vals)))
-
-    best = np.inf
-    for _ in range(tries):
-        M0 = np.eye(k) + 0.1 * rng.standard_normal((k, k))
-        r = scipy.optimize.minimize(lambda v: distortion_of(v.reshape(k, k)), M0.ravel(),
-                                    method="Nelder-Mead", options={"maxiter": 2000})
-        best = min(best, float(r.fun))
-    return best

@@ -103,15 +103,6 @@ class TransferredInstance:
         }
 
 
-def transfer_ramsey_instance(inst, q):
-    """Typed form: move a whole instance carrier to exponent q (witness data
-    does not transport; the certified n must be re-derived at the new error)."""
-    from lpfraisse.ramsey import RamseyInstance
-
-    t = transfer_instance(inst.d, inst.m, inst.r, inst.eps, inst.p, q)
-    return RamseyInstance(t.q, inst.d, inst.m, inst.r, t.eps_transferred, inst.delta)
-
-
 def transfer_instance(d: int, m: int, r: int, eps: float, p, q) -> TransferredInstance:
     """Move a Ramsey instance between exponents: same (d, m, r), the admitted
     error becomes tau_{p,q}(eps).  Witness families transport through

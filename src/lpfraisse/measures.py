@@ -4,12 +4,14 @@ inversion, Levy-Prokhorov distances, plateau functions, and support checks.
 Exactness conventions: masses convert losslessly to rationals, fattenings are
 closed, and the one-dimensional bump used for CDF inversion is evaluated from
 exact piecewise-polynomial coefficients so that tiny widths cause no
-cancellation.
+cancellation.  The Levy-Prokhorov distance is exact at every support size: an
+integer max flow decides each distance level.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,8 +21,6 @@ import numpy as np
 import scipy.linalg
 
 from lpfraisse.core import PIndex, rng_from_seed
-
-EXACT_LP_ATOM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def p_characteristic_grid(mu: DiscreteMeasure, grid: PCharGrid, p) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Levy-Prokhorov distance, exact on small supports
+# Levy-Prokhorov distance, exact by max flow
 # ---------------------------------------------------------------------------
 
 
@@ -207,36 +207,30 @@ class _Cand:
         return self <= other and not (other <= self)
 
 
-def _max_mass_gap(masses_a: list[Fraction], cover: list[list[int]], masses_b: list[Fraction]) -> Fraction:
-    """max over subsets A of sum(masses_a[A]) - mass_b(union of cover[a], a in A).
-
-    Gray-code walk with per-target coverage counters keeps each step O(cover row).
-    """
-    n = len(masses_a)
-    counts = [0] * len(masses_b)
-    in_a = [False] * n
-    cur_a = Fraction(0)
-    cur_b = Fraction(0)
-    best = Fraction(0)  # empty set
-    for g in range(1, 1 << n):
-        flip = (g ^ (g >> 1)) ^ ((g - 1) ^ ((g - 1) >> 1))
-        i = flip.bit_length() - 1
-        if in_a[i]:
-            cur_a -= masses_a[i]
-            for t in cover[i]:
-                counts[t] -= 1
-                if counts[t] == 0:
-                    cur_b -= masses_b[t]
-        else:
-            cur_a += masses_a[i]
-            for t in cover[i]:
-                if counts[t] == 0:
-                    cur_b += masses_b[t]
-                counts[t] += 1
-        in_a[i] = not in_a[i]
-        if cur_a - cur_b > best:
-            best = cur_a - cur_b
-    return best
+def _augment(res: list[list[int]], adj: list[list[int]], s: int, t: int) -> int:
+    """Edmonds-Karp: push flow along shortest residual s-t paths until none is
+    left, and return the flow added.  res holds the residual capacities."""
+    added = 0
+    while True:
+        parent = [-1] * len(adj)
+        parent[s] = s
+        queue = deque([s])
+        while queue and parent[t] < 0:
+            u = queue.popleft()
+            for v in adj[u]:
+                if parent[v] < 0 and res[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[t] < 0:
+            return added
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        push = min(res[u][v] for v, u in zip(path, path[1:]))
+        for v, u in zip(path, path[1:]):
+            res[u][v] -= push
+            res[v][u] += push
+        added += push
 
 
 @dataclass(frozen=True)
@@ -250,73 +244,56 @@ class LPResult:
         return self.upper
 
 
-def levy_prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure, exact_cap: int = EXACT_LP_ATOM_CAP) -> LPResult:
-    """Distance inf{eps: mu(A) <= nu(A_eps) + eps and vice versa, all A}.
+def levy_prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LPResult:
+    """Distance inf{eps: mu(A) <= nu(A_eps) + eps and vice versa, all A}, exact.
 
     Fattenings are closed, so on discrete supports the infimum is attained on
-    the finite candidate set {cross distances} union {mass-gap values}; both
-    inequalities are checked exactly over all subsets of each support.
-    Beyond the atom cap a certified bracket from coarsened supports is
-    returned instead.
+    the finite candidate set {cross distances} union {mass-gap values}.  At a
+    distance level, max_A mu(A) - nu(A_eps) is mu's total mass minus the max
+    flow from mu to nu over the cross pairs within that level (max-flow
+    min-cut), and the same flow gives the reverse gap.  Masses scale to
+    integer capacities, and one flow grows level by level as pairs join, so
+    every support size is solved exactly in polynomial time.  Candidates
+    never decrease with the level, so the first feasible one is the distance.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
-    if mu.size + nu.size > exact_cap:
-        return _lp_bracket(mu, nu, exact_cap)
+    masses = [Fraction(float(x)) for x in (*mu.masses, *nu.masses)]
+    den = math.lcm(*(q.denominator for q in masses))
+    caps = [int(q * den) for q in masses]
+    m = mu.size
+    big = max(sum(caps[:m]), sum(caps[m:]))
+    # nodes: source 0, mu atoms 1..m, nu atoms m+1..m+n, sink m+n+1
+    s, t = 0, len(caps) + 1
+    res = [[0] * (t + 1) for _ in range(t + 1)]
+    adj: list[list[int]] = [[] for _ in range(t + 1)]
 
-    m_pts = [tuple(map(float, z)) for z in mu.points]
-    n_pts = [tuple(map(float, z)) for z in nu.points]
-    m_mass = [Fraction(float(x)) for x in mu.masses]
-    n_mass = [Fraction(float(x)) for x in nu.masses]
-    sq = [[_exact_sq_dist(a, b) for b in n_pts] for a in m_pts]
+    def join(u: int, v: int, c: int) -> None:
+        res[u][v] = c
+        adj[u].append(v)
+        adj[v].append(u)
 
-    levels = sorted({Fraction(0)} | {d for row in sq for d in row})
+    for i in range(m):
+        join(s, 1 + i, caps[i])
+    for i in range(m, len(caps)):
+        join(1 + i, t, caps[i])
+    pairs: dict[Fraction, list[tuple[int, int]]] = {Fraction(0): []}
+    for i, a in enumerate(mu.points):
+        for j, b in enumerate(nu.points):
+            pairs.setdefault(_exact_sq_dist(a, b), []).append((1 + i, 1 + m + j))
+    levels = sorted(pairs)
 
-    best: _Cand | None = None
+    flow = 0
     for li, lev in enumerate(levels):
-        cover_mu = [[t for t in range(len(n_pts)) if sq[i][t] <= lev] for i in range(len(m_pts))]
-        cover_nu = [[i for i in range(len(m_pts)) if sq[i][t] <= lev] for t in range(len(n_pts))]
-        phi = _max_mass_gap(m_mass, cover_mu, n_mass)
-        psi = _max_mass_gap(n_mass, cover_nu, m_mass)
-        gap = max(phi, psi)
+        for u, v in pairs[lev]:
+            join(u, v, big)
+        flow += _augment(res, adj, s, t)
+        gap = Fraction(big - flow, den)
         cand = _Cand("d", lev) if _Cand("m", gap) <= _Cand("d", lev) else _Cand("m", gap)
         # candidate feasible if it stays below the next distance level
-        if li + 1 < len(levels) and not (cand < _Cand("d", levels[li + 1])):
-            continue
-        if best is None or cand < best:
-            best = cand
-    v = best.value()
-    return LPResult(v, v, True)
-
-
-def _lp_bracket(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int) -> LPResult:
-    """Bracket for big supports: coarsen by greedy merging, pay the merge radius."""
-    half = cap // 2
-    cm, rm = _coarsen(mu, half)
-    cn, rn = _coarsen(nu, cap - half)
-    mid = levy_prokhorov(cm, cn, exact_cap=cap)
-    slack = rm + rn
-    return LPResult(max(0.0, mid.lower - slack), mid.upper + slack, False)
-
-
-def _coarsen(mu: DiscreteMeasure, k: int) -> tuple[DiscreteMeasure, float]:
-    pts = [np.array(z, dtype=float) for z in mu.points]
-    ms = list(map(float, mu.masses))
-    radius = 0.0
-    while len(pts) > k:
-        best = None
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = float(np.linalg.norm(pts[i] - pts[j]))
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
-        w = ms[i] + ms[j]
-        c = (ms[i] * pts[i] + ms[j] * pts[j]) / w
-        radius += max(float(np.linalg.norm(pts[i] - c)), float(np.linalg.norm(pts[j] - c)))
-        pts[i], ms[i] = c, w
-        del pts[j], ms[j]
-    return DiscreteMeasure(np.array(pts), np.array(ms)), radius
+        if li + 1 == len(levels) or cand < _Cand("d", levels[li + 1]):
+            v = cand.value()
+            return LPResult(v, v, True)
 
 
 def dhat_p(mu: DiscreteMeasure, nu: DiscreteMeasure, grid: PCharGrid, p) -> float:
@@ -449,10 +426,6 @@ def invert_cdf_with_error(char: Callable[[float], float], a: float, eps: float, 
         mag += abs(term)
     err = mag * 8 * (p + 2) * np.finfo(float).eps
     return acc, err, a_used
-
-
-def invert_cdf(char: Callable[[float], float], a: float, eps: float, p: int) -> float:
-    return invert_cdf_with_error(char, a, eps, p)[0]
 
 
 def characteristic_oracle(mu: DiscreteMeasure, p) -> Callable[[float], float]:

@@ -29,7 +29,6 @@ class CheckResult:
             "name": self.name,
             "passed": self.passed,
             "certified": self.certified,
-            "runtime_s": round(self.runtime, 3),
             **{k: v for k, v in self.details.items() if isinstance(v, (int, float, str, bool))},
         }
 
@@ -236,7 +235,6 @@ def check_concentration_bound(seed=0, fast=False) -> CheckResult:
             n += 1
     # shift rule on exact tiny spaces: alpha(delta, rho+eps) <= alpha(eps) when alpha(rho) < delta
     for (n, s) in ((2, 2), (3, 2), (4, 2), (2, 3), (2, 4)):
-        N = s**n
         thetas = [0.25, 0.5, 0.75]
         exact = {}
         for th in thetas:
@@ -294,7 +292,6 @@ def check_window_counting(seed=0, fast=False) -> CheckResult:
             if f_exact > 0 and abs(f_exact - f_log) / f_exact > 1e-9:
                 ok = False
     # brute enumeration cross-check on tiny spaces
-    rng = rng_from_seed(seed)
     for (n, s) in ((4, 2), (6, 2), (5, 3), (8, 2)):
         for delta in (0.0, 0.25, 0.5):
             cnt, _ = equi.count_equi(n, s, delta)
@@ -402,7 +399,6 @@ def check_hilbert_rounding(seed=0, fast=False) -> CheckResult:
         if dist > true_delta + 1e-9:
             ok = False
         worst = max(worst, dist - true_delta)
-        rep = spaces.distortion(R, samples=64, seed=0)
         if abs(np.linalg.norm(R.matrix.T @ R.matrix - np.eye(d))) > 1e-9:
             ok = False
     return CheckResult("hilbert-rounding", ok, 0.0, True, {"trials": trials, "worst_excess": worst})
@@ -618,7 +614,6 @@ def check_gap_geometry(seed=0, fast=False) -> CheckResult:
             opnorm = float(np.max(np.sum(np.abs(diff), axis=1)))
         budget = 16 if p == PIndex.of(2) else 10
         est = geometry.gap_estimate(Xg, Xh, budget=budget, seed=seed + i)
-        slack = 2 * (1 + delta) * opnorm + 1e-9 - est.lower
         worst_claim = max(worst_claim, est.lower - 2 * (1 + delta) * opnorm)
         if est.lower > 2 * (1 + delta) * opnorm + 1e-9:
             ok = False

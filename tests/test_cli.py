@@ -21,6 +21,11 @@ def test_determinism_byte_identical():
     a = run_cli("--seed", "7", "measures", "counterexample", "--p", "2")
     b = run_cli("--seed", "7", "measures", "counterexample", "--p", "2")
     assert a.stdout == b.stdout and a.returncode == 0
+    # suite timings go to stderr, one "name runtime_s" line per check
+    argv = ("--seed", "3", "--format", "json", "suite", "--fast", "--criteria", "bump-identities,window-counting")
+    a, b = run_cli(*argv), run_cli(*argv)
+    assert a.stdout == b.stdout and a.returncode == 0
+    assert [line.split()[0] for line in a.stderr.splitlines()] == ["bump-identities", "window-counting"]
 
 
 def test_spaces_distortion_stdin():

@@ -12,7 +12,7 @@ from lpfraisse.equi import (
     Certificate, CertificateSearchError, Equisurjection, NotSurjectiveError,
     apply_permutation, brute_force_optimal_hamming, canonical_exact, concentration_exact,
     count_equi, count_fraction_log, delta_of, hamming, hamming_bound_exp, match_permutation,
-    replay, round_to_exact, smallest_n_for_bound, sufficient_n_certificate,
+    replay, round_to_exact, sufficient_n_certificate,
 )
 
 
@@ -213,9 +213,6 @@ class TestConcentration:
                 if alpha[(0.5, tr)] < th:
                     for te in range(n - tr):
                         assert alpha[(th, tr + te)] <= alpha[(0.5, te)] + 1e-12
-
-    def test_smallest_n_helper(self):
-        assert smallest_n_for_bound(0.5, 0.5) == 23
 
     # (mode, lower, upper) for t = 0..n at theta = 1/2: reported values must
     # not drift when the candidate engine changes

@@ -6,7 +6,7 @@ from scipy.spatial.distance import cdist
 from lpfraisse.core import PIndex, norm_p, rng_from_seed
 from lpfraisse.geometry import (
     GapPreconditionError, Subspace, _dists_to_unit_ball, auerbach_basis, bm_from_gap,
-    bm_upper_estimate, dist_to_unit_ball, gap_estimate,
+    dist_to_unit_ball, gap_estimate,
 )
 from lpfraisse.spaces import VectorP
 
@@ -246,11 +246,6 @@ class TestBmBridge:
         with pytest.raises(GapPreconditionError) as exc:
             bm_from_gap(X, Y, budget=16, seed=0)
         assert exc.value.gap_upper >= 1.0
-
-
-def test_bm_upper_estimate_identity():
-    X = coord_subspace(2, 2, [0, 1])
-    assert bm_upper_estimate(X, X, tries=4) <= 0.05
 
 
 def test_json_round_trip():

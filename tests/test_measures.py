@@ -9,7 +9,7 @@ from lpfraisse.core import PIndex, rng_from_seed
 from lpfraisse import measures as M
 from lpfraisse.measures import (
     DiscreteMeasure, DiscreteSpace, PCharGrid, characteristic_oracle, density, dhat_p,
-    even_p_counterexample, eps_full_support, gp, gp_exact, gp_grid, invert_cdf,
+    even_p_counterexample, eps_full_support, gp, gp_exact, gp_grid,
     invert_cdf_with_error, levy_prokhorov, odd_p_falsification_search, p_characteristic,
     p_characteristic_grid, plateau_function, pushforward,
 )
@@ -195,12 +195,83 @@ class TestLevyProkhorov:
                     best = cand
             assert got == pytest.approx(best, abs=1e-9)
 
-    def test_bracket_mode_on_large_supports(self):
+    def test_exact_on_large_supports(self):
+        # 15 + 15 atoms: the former coarsening bracket here was
+        # [0.43673442891094144, 1.0054062818697984]
         rng = rng_from_seed(7)
         mu = DiscreteMeasure(rng.normal(size=(15, 1)), rng.uniform(0.1, 1, size=15))
         nu = DiscreteMeasure(rng.normal(size=(15, 1)), rng.uniform(0.1, 1, size=15))
         r = levy_prokhorov(mu, nu)
-        assert not r.exact and r.lower <= r.upper
+        assert r.exact and r.lower == r.upper
+        assert 0.43673442891094144 <= r.value <= 1.0054062818697984
+
+    def test_matches_subset_walk(self):
+        rng = rng_from_seed(21)
+        for trial in range(200):
+            dim = int(rng.integers(1, 4))
+            na, nb = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            if trial % 2:  # integer lattice: many tied cross distances
+                za = rng.integers(-2, 3, size=(na, dim)).astype(float)
+                zb = rng.integers(-2, 3, size=(nb, dim)).astype(float)
+            else:
+                za, zb = rng.normal(size=(na, dim)), rng.normal(size=(nb, dim))
+            wa, wb = rng.uniform(0.05, 1, size=na), rng.uniform(0.05, 1, size=nb)
+            if trial % 3 == 0:
+                wa, wb = wa / wa.sum(), wb / wb.sum()
+            mu, nu = DiscreteMeasure(za, wa), DiscreteMeasure(zb, wb)
+            assert repr(levy_prokhorov(mu, nu)) == repr(_subset_walk_lp(mu, nu))
+
+
+def _max_mass_gap_walk(masses_a, cover, masses_b):
+    """max over subsets A of sum(masses_a[A]) - mass_b(union of cover[a], a in A).
+
+    Gray-code walk with per-target coverage counters keeps each step O(cover row).
+    """
+    n = len(masses_a)
+    counts = [0] * len(masses_b)
+    in_a = [False] * n
+    cur_a = Fraction(0)
+    cur_b = Fraction(0)
+    best = Fraction(0)  # empty set
+    for g in range(1, 1 << n):
+        flip = (g ^ (g >> 1)) ^ ((g - 1) ^ ((g - 1) >> 1))
+        i = flip.bit_length() - 1
+        if in_a[i]:
+            cur_a -= masses_a[i]
+            for t in cover[i]:
+                counts[t] -= 1
+                if counts[t] == 0:
+                    cur_b -= masses_b[t]
+        else:
+            cur_a += masses_a[i]
+            for t in cover[i]:
+                if counts[t] == 0:
+                    cur_b += masses_b[t]
+                counts[t] += 1
+        in_a[i] = not in_a[i]
+        if cur_a - cur_b > best:
+            best = cur_a - cur_b
+    return best
+
+
+def _subset_walk_lp(mu, nu):
+    """Reference oracle: both mass gaps by exhaustive subset walks at every
+    distance level, and the least feasible candidate over all levels."""
+    m_mass = [Fraction(float(x)) for x in mu.masses]
+    n_mass = [Fraction(float(x)) for x in nu.masses]
+    sq = [[M._exact_sq_dist(a, b) for b in nu.points] for a in mu.points]
+    levels = sorted({Fraction(0)} | {d for row in sq for d in row})
+    best = None
+    for li, lev in enumerate(levels):
+        cover_mu = [[t for t in range(nu.size) if sq[i][t] <= lev] for i in range(mu.size)]
+        cover_nu = [[i for i in range(mu.size) if sq[i][t] <= lev] for t in range(nu.size)]
+        gap = max(_max_mass_gap_walk(m_mass, cover_mu, n_mass), _max_mass_gap_walk(n_mass, cover_nu, m_mass))
+        cand = M._Cand("d", lev) if M._Cand("m", gap) <= M._Cand("d", lev) else M._Cand("m", gap)
+        if li + 1 < len(levels) and not (cand < M._Cand("d", levels[li + 1])):
+            continue
+        if best is None or cand < best:
+            best = cand
+    return M.LPResult(best.value(), best.value(), True)
 
 
 class TestDhat:
@@ -281,13 +352,13 @@ class TestInversion:
         mu = DiscreteMeasure.point([0.0])
         char = characteristic_oracle(mu, 3)
         for eps in (0.5, 0.1, 0.01):
-            assert invert_cdf(char, 1.0, eps, 3) == pytest.approx(1.0, abs=1e-9)
+            assert invert_cdf_with_error(char, 1.0, eps, 3)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_point_mass_right(self):
         mu = DiscreteMeasure.point([1.0])
         char = characteristic_oracle(mu, 3)
         # zero once eps*p < 1
-        assert invert_cdf(char, 0.0, 0.2, 3) == pytest.approx(0.0, abs=1e-9)
+        assert invert_cdf_with_error(char, 0.0, 0.2, 3)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_sandwich_random(self):
         rng = rng_from_seed(13)

@@ -242,15 +242,6 @@ def test_enumerate_equi_windows():
 
 
 class TestRamseyInstance:
-    def test_transfer_carrier(self):
-        from lpfraisse.mazur import transfer_ramsey_instance
-        from lpfraisse.ramsey import RamseyInstance
-
-        inst = RamseyInstance(3, 2, 4, 2, 0.1)
-        out = transfer_ramsey_instance(inst, 1)
-        assert float(out.p) == 1.0
-        assert out.eps == pytest.approx(0.3)
-
     def test_certify_attaches_witness(self):
         from lpfraisse.ramsey import RamseyInstance
 
