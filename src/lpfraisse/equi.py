@@ -13,7 +13,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -141,50 +140,40 @@ def _window(n: int, s: int, delta) -> tuple[int, int]:
     return max(lo, 1), min(hi, n)  # surjectivity floors the window at 1
 
 
-def count_equi(n: int, s: int, delta) -> tuple[int | float, float]:
-    """Number of maps n -> s with every preimage count in the delta window.
+def count_equi(n: int, s: int, delta) -> tuple[int, float]:
+    """Number of maps n -> s with every preimage count in the delta window,
+    exact at every n.  Returns (count, fraction of s^n).
 
-    Exact big-integer multinomial sum for n <= 2000; log-space DP beyond
-    (then the count is returned as a log-magnitude float and the fraction
-    stays accurate).  Returns (count, fraction of s^n).
+    With w_c(r) the number of maps of r points onto c colors with every count
+    in the window, w_{a+b}(r) = sum_j C(r, j) w_a(j) w_b(r - j); w_s comes
+    from w_floor(s/2) and w_ceil(s/2) by this convolution, each binomial row
+    walked incrementally, down to w_1, the indicator of the window.
     """
     lo, hi = _window(n, s, delta)
     if lo > hi:
         return 0, 0.0
-    if n <= EXACT_DP_CAP:
-        @lru_cache(maxsize=None)
-        def ways(colors_left: int, remaining: int) -> int:
-            if colors_left == 0:
-                return 1 if remaining == 0 else 0
-            lo_k = max(lo, remaining - hi * (colors_left - 1))
-            hi_k = min(hi, remaining)
-            total = 0
-            for k in range(lo_k, hi_k + 1):
-                total += math.comb(remaining, k) * ways(colors_left - 1, remaining - k)
-            return total
+    tables = {1: dict.fromkeys(range(lo, hi + 1), 1)}  # tables[c][r] = w_c(r), r <= n
 
-        count = ways(s, n)
-        frac = float(Fraction(count, s**n)) if count else 0.0
-        return count, frac
+    def w(a: int, b: int, r: int) -> int:
+        """w_{a+b}(r) from the tables of a and b."""
+        wa, wb = table(a), table(b)
+        j0, j1 = max(a * lo, r - b * hi), min(a * hi, r - b * lo)
+        if j0 > j1:
+            return 0
+        total, binom = 0, math.comb(r, j0)
+        for j in range(j0, j1 + 1):
+            total += binom * wa[j] * wb[r - j]
+            binom = binom * (r - j) // (j + 1)
+        return total
 
-    # log-space DP over colors
-    def log_ways(colors_left: int, remaining: int, memo={}) -> float:
-        key = (colors_left, remaining)
-        if key in memo:
-            return memo[key]
-        if colors_left == 0:
-            return 0.0 if remaining == 0 else -math.inf
-        acc = -math.inf
-        for k in range(max(lo, remaining - hi * (colors_left - 1)), min(hi, remaining) + 1):
-            lc = math.lgamma(remaining + 1) - math.lgamma(k + 1) - math.lgamma(remaining - k + 1)
-            v = lc + log_ways(colors_left - 1, remaining - k)
-            acc = max(acc, v) + math.log1p(math.exp(min(acc, v) - max(acc, v))) if acc > -math.inf else v
-        memo[key] = acc
-        return acc
+    def table(c: int) -> dict[int, int]:
+        if c not in tables:
+            tables[c] = {r: w(c // 2, c - c // 2, r) for r in range(c * lo, min(c * hi, n) + 1)}
+        return tables[c]
 
-    lcount = log_ways(s, n)
-    lfrac = lcount - n * math.log(s)
-    return lcount, math.exp(lfrac) if lfrac > -700 else 0.0
+    count = w(s // 2, s - s // 2, n) if s > 1 else tables[1].get(n, 0)
+    frac = float(Fraction(count, s**n)) if count else 0.0
+    return count, frac
 
 
 def equi_fraction_lower_bound_printed(n: int, s: int, delta: float) -> float:
@@ -532,29 +521,25 @@ def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float,
         raise ValueError("need r >= 1 and eps > 0")
     if r == 1:
         return m, _certificate_for(d, m, r, eps, delta, m)
-    n = m
-    good = None
-    while n <= n_budget:
-        cert = _certificate_for(d, m, r, eps, delta, n)
+    hi = m
+    while hi <= n_budget:
+        cert = _certificate_for(d, m, r, eps, delta, hi)
         if cert.verdict:
-            good = n
             break
-        n *= 2
-    if good is None:
+        hi *= 2
+    else:
         cert = _certificate_for(d, m, r, eps, delta, n_budget - n_budget % m)
         bad = next((l for l in cert.lines if not l.holds()), None)
         raise CertificateSearchError("no certified n within budget", bad)
-    lo, hi = good // 2, good  # lo failed (or is below m), hi certified
-    lo = max(lo, m)
+    lo = max(hi // 2, m)  # lo failed (or equals hi = m), hi certified with cert
     while hi - lo > m:
         mid = (lo + hi) // (2 * m) * m
-        if _certificate_for(d, m, r, eps, delta, mid).verdict:
-            hi = mid
+        mid_cert = _certificate_for(d, m, r, eps, delta, mid)
+        if mid_cert.verdict:
+            hi, cert = mid, mid_cert
         else:
             lo = mid
-    if lo == m and _certificate_for(d, m, r, eps, delta, m).verdict:
-        hi = m
-    return hi, _certificate_for(d, m, r, eps, delta, hi)
+    return hi, cert
 
 
 def replay(cert: Certificate, atol: float = 1e-12) -> bool:

@@ -207,9 +207,11 @@ class _Cand:
         return self <= other and not (other <= self)
 
 
-def _augment(res: list[list[int]], adj: list[list[int]], s: int, t: int) -> int:
+def _augment(res: list[list[int]], adj: list[list[int]], s: int, t: int) -> tuple[int, list[int]]:
     """Edmonds-Karp: push flow along shortest residual s-t paths until none is
-    left, and return the flow added.  res holds the residual capacities."""
+    left.  Returns the flow added and the parent array of the last, failed
+    search: node v is reachable from s in the residual graph iff parent[v] >= 0.
+    res holds the residual capacities."""
     added = 0
     while True:
         parent = [-1] * len(adj)
@@ -222,7 +224,7 @@ def _augment(res: list[list[int]], adj: list[list[int]], s: int, t: int) -> int:
                     parent[v] = u
                     queue.append(v)
         if parent[t] < 0:
-            return added
+            return added, parent
         path = [t]
         while path[-1] != s:
             path.append(parent[path[-1]])
@@ -283,11 +285,15 @@ def levy_prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LPResult:
             pairs.setdefault(_exact_sq_dist(a, b), []).append((1 + i, 1 + m + j))
     levels = sorted(pairs)
 
-    flow = 0
+    # A failed search leaves a source-reachable set with no residual edge out
+    # of it; a joined pair (u, v) can only open a path when it leaves that set.
+    flow, reach = 0, None
     for li, lev in enumerate(levels):
         for u, v in pairs[lev]:
             join(u, v, big)
-        flow += _augment(res, adj, s, t)
+        if reach is None or any(reach[u] >= 0 > reach[v] for u, v in pairs[lev]):
+            added, reach = _augment(res, adj, s, t)
+            flow += added
         gap = Fraction(big - flow, den)
         cand = _Cand("d", lev) if _Cand("m", gap) <= _Cand("d", lev) else _Cand("m", gap)
         # candidate feasible if it stays below the next distance level

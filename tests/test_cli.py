@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -15,6 +16,14 @@ def test_equi_delta():
     r = run_cli("equi", "delta", "--map", "0,1,1,1", "--s", "2")
     assert r.returncode == 0
     assert json.loads(r.stdout) == {"delta": "1/2", "delta_float": 0.5}
+
+
+def test_equi_count_exact_above_2000():
+    r = run_cli("equi", "count", "-n", "2001", "--s", "2", "--delta", "0.2")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert int(out["count"]) == sum(math.comb(2001, k) for k in range(801, 1201))
+    assert out["fraction"] <= 1
 
 
 def test_determinism_byte_identical():

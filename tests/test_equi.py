@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import math
 
@@ -181,6 +183,54 @@ class TestCounting:
             f2 = count_fraction_log(n, 3, 0.3)
             assert f2 >= f1 - 1e-15
 
+    def test_matches_multinomial_recursion(self):
+        # windows wider than delta = 0.6 only up to n = 120, where the
+        # reference stays quick
+        rng = rng_from_seed(11)
+        for _ in range(1000):
+            delta = float(rng.choice([0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, round(float(rng.uniform(0, 1.2)), 3)]))
+            n, s = int(rng.integers(1, 401 if delta < 0.6 else 121)), int(rng.integers(1, 8))
+            assert repr(count_equi(n, s, delta)) == repr(_multinomial_recursion(n, s, delta)), (n, s, delta)
+
+    def test_pinned_large_count(self):
+        count, frac = count_equi(1536, 6, 0.2)
+        assert count.bit_length() == 3971 and count % (10**9 + 7) == 705573410
+        assert frac == 0.9974343923416337
+
+    def test_edge_cases(self):
+        # one color: its preimage holds all n points, inside or outside the window
+        assert count_equi(7, 1, 0.0) == (1, 1.0)
+        assert count_equi(7, 1, 2.0) == (1, 1.0)
+        # more colors than points: no surjection, even with a nonempty window
+        assert equi._window(3, 5, 1.0) == (1, 1)
+        assert count_equi(3, 5, 1.0) == (0, 0.0)
+        # empty window: no integer lies within 0.1 * 7/3 of 7/3
+        assert equi._window(7, 3, 0.1) == (3, 2)
+        assert count_equi(7, 3, 0.1) == (0, 0.0)
+        # nonempty windows with n below s * lo and above s * hi
+        assert equi._window(5, 3, 0.2) == (2, 2) and count_equi(5, 3, 0.2) == (0, 0.0)
+        assert equi._window(7, 3, 0.2) == (2, 2) and count_equi(7, 3, 0.2) == (0, 0.0)
+        for case in ((1, 1, 0.0), (1, 2, 1.0), (2, 2, 0.0), (6, 3, 0.0), (9, 3, 0.5)):
+            assert repr(count_equi(*case)) == repr(_multinomial_recursion(*case))
+
+
+def _multinomial_recursion(n, s, delta):
+    """Reference: the memoised sum over the count k of one color at a time,
+    with a fresh binomial C(remaining, k) per term."""
+    lo, hi = equi._window(n, s, delta)
+    if lo > hi:
+        return 0, 0.0
+
+    @functools.lru_cache(maxsize=None)
+    def ways(colors_left, remaining):
+        if colors_left == 0:
+            return 1 if remaining == 0 else 0
+        return sum(math.comb(remaining, k) * ways(colors_left - 1, remaining - k)
+                   for k in range(max(lo, remaining - hi * (colors_left - 1)), min(hi, remaining) + 1))
+
+    count = ways(s, n)
+    return count, float(Fraction(count, s**n)) if count else 0.0
+
 
 class TestConcentration:
     def test_tiny_exact_zero(self):
@@ -301,7 +351,69 @@ class TestCertificates:
         assert cert.to_jsonl().startswith(head)
         assert cert.to_jsonl().endswith('{"ok": true, "type": "verdict"}\n')
 
+    def test_pinned_search_results(self):
+        # (n, first 16 hex digits of sha256(cert.to_jsonl())) per case
+        for case, (n, digest) in _PINNED_SEARCHES.items():
+            got_n, cert = sufficient_n_certificate(*case)
+            assert (got_n, hashlib.sha256(cert.to_jsonl().encode()).hexdigest()[:16]) == (n, digest), case
+
     def test_budget_exhaustion_reports_failing_line(self):
         with pytest.raises(CertificateSearchError) as exc:
             sufficient_n_certificate(2, 4, 2, 1e-4, 0.1, n_budget=10_000)
         assert exc.value.failing_line is not None
+
+
+# (d, m, r, eps, delta) -> (n, digest) of sufficient_n_certificate: the
+# battery's four cases; five wide-eps cases that certify at n = m or 2m; and
+# one case per (d | m <= 6, r in 1..3) with eps ~ U[0.5, 0.7] and
+# delta ~ U[0.1, 0.2] drawn from rng_from_seed(8), rounded to 3 digits.
+_PINNED_SEARCHES = {
+    (2, 4, 2, 0.4, 0.1): (720, "1876c048287886b7"),
+    (2, 2, 2, 0.6, 0.2): (70, "6f7cef4da376912c"),
+    (3, 6, 2, 0.5, 0.2): (852, "c632afe5312fa97a"),
+    (2, 4, 1, 0.3, 0.1): (4, "77d2dbd7f6b6a071"),
+    (2, 2, 2, 6.0, 0.5): (2, "86f2c715d7559f71"),
+    (2, 2, 2, 4.0, 0.5): (4, "b148a9077c2fdacd"),
+    (3, 3, 2, 5.0, 0.5): (6, "dff420145d53f464"),
+    (2, 4, 3, 4.0, 0.5): (8, "a27143998134da8c"),
+    (3, 6, 2, 3.0, 0.5): (30, "a122571b824f18ae"),
+    (1, 2, 1, 0.565, 0.199): (2, "2254beeee2f6f1af"),
+    (1, 2, 2, 0.564, 0.179): (80, "fbd24ab0afeb0f05"),
+    (1, 2, 3, 0.674, 0.139): (92, "caee080af5d05415"),
+    (2, 2, 1, 0.588, 0.137): (2, "20e2e1003620727f"),
+    (2, 2, 2, 0.521, 0.148): (100, "e3748c5fa4f9a897"),
+    (2, 2, 3, 0.548, 0.126): (134, "c21bf5e16db822fd"),
+    (1, 3, 1, 0.537, 0.119): (3, "d2a5e9bd63f7a50d"),
+    (1, 3, 2, 0.663, 0.142): (171, "0ae90c037219c840"),
+    (1, 3, 3, 0.551, 0.159): (216, "f06e9243def79538"),
+    (3, 3, 1, 0.621, 0.165): (3, "6d93d3061f0a25de"),
+    (3, 3, 2, 0.682, 0.115): (180, "a5f80638f2616386"),
+    (3, 3, 3, 0.574, 0.128): (219, "00fc2f6e36e334e1"),
+    (1, 4, 1, 0.503, 0.118): (4, "686b268cc96d7094"),
+    (1, 4, 2, 0.579, 0.139): (348, "c235a6b989d95fb4"),
+    (1, 4, 3, 0.623, 0.145): (304, "a7b1451bfd034f7a"),
+    (2, 4, 1, 0.621, 0.122): (4, "75b882f0cdff45bc"),
+    (2, 4, 2, 0.527, 0.133): (424, "648dcaf3b4342b79"),
+    (2, 4, 3, 0.519, 0.137): (424, "7b033885a8256f2a"),
+    (4, 4, 1, 0.592, 0.172): (4, "4c5d82972acfa64e"),
+    (4, 4, 2, 0.673, 0.105): (308, "631d881461c26e29"),
+    (4, 4, 3, 0.691, 0.172): (244, "68b4f27191819a98"),
+    (1, 5, 1, 0.698, 0.112): (5, "ed3a968feeae34cc"),
+    (1, 5, 2, 0.575, 0.15): (505, "a080fd0264a8b899"),
+    (1, 5, 3, 0.649, 0.131): (425, "57562c2e47ef7113"),
+    (5, 5, 1, 0.59, 0.128): (5, "bca8144be8924164"),
+    (5, 5, 2, 0.59, 0.151): (485, "34c977b4f01659a0"),
+    (5, 5, 3, 0.613, 0.17): (445, "5be965bdcc9990ce"),
+    (1, 6, 1, 0.548, 0.163): (6, "1f55f2129097680b"),
+    (1, 6, 2, 0.518, 0.161): (816, "ffe99e94afbdb386"),
+    (1, 6, 3, 0.592, 0.113): (696, "ce05226c4dff5317"),
+    (2, 6, 1, 0.551, 0.106): (6, "710b869f23f6550b"),
+    (2, 6, 2, 0.574, 0.14): (696, "a4787ae9892328a4"),
+    (2, 6, 3, 0.598, 0.107): (702, "9cce33b0c84c0fe7"),
+    (3, 6, 1, 0.643, 0.132): (6, "0ec1cff977d7e569"),
+    (3, 6, 2, 0.556, 0.189): (702, "9e06aa0e9e5e0d73"),
+    (3, 6, 3, 0.62, 0.166): (582, "905eb20764295eea"),
+    (6, 6, 1, 0.606, 0.122): (6, "043090c90805492c"),
+    (6, 6, 2, 0.53, 0.118): (834, "1b9e0ec4a325fa0d"),
+    (6, 6, 3, 0.568, 0.117): (744, "611a08b9b5f4e56d"),
+}
