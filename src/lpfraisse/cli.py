@@ -70,7 +70,6 @@ def cmd_spaces(args) -> dict:
         N, i, j = spaces.amalgamate(g, e, coupling=args.coupling)
         return {"N": N, "i": i.to_json(), "j": j.to_json(),
                 "composites_equal": spaces.compose(i, g).signature() == spaces.compose(j, e).signature()}
-    raise SystemExit(f"unknown spaces action {args.action}")
 
 
 def cmd_geometry(args) -> dict:
@@ -88,7 +87,6 @@ def cmd_geometry(args) -> dict:
         return {"rows": [{"bound": br.bound, "displacement": br.displacement,
                           "gap_lower": br.gap.lower, "gap_upper": br.gap.upper,
                           "limit": 4 * X.dim * br.gap.upper, "seed": args.seed}]}
-    raise SystemExit(f"unknown geometry action {args.action}")
 
 
 def cmd_mazur(args) -> dict:
@@ -105,7 +103,6 @@ def cmd_mazur(args) -> dict:
     if args.action == "transfer":
         t = mazur.transfer_instance(args.d, args.m, args.r, args.eps, p, q)
         return t.to_json()
-    raise SystemExit(f"unknown mazur action {args.action}")
 
 
 def cmd_measures(args) -> dict:
@@ -128,7 +125,6 @@ def cmd_measures(args) -> dict:
         rep = measures.even_p_counterexample(int(args.p))
         return {"mu": rep.mu.to_json(), "nu": rep.nu.to_json(),
                 "char_gap": rep.char_gap, "lp_distance": rep.lp_distance}
-    raise SystemExit(f"unknown measures action {args.action}")
 
 
 def cmd_envelope(args) -> dict:
@@ -154,7 +150,6 @@ def cmd_envelope(args) -> dict:
             return {"refused": True, "offending_cells": [list(c) for c in exc.offending]}
         return {"isometric_exact": tr.isometric_exact, "defect": tr.defect,
                 "ratios": [str(r) for r in tr.ratios], "envelope": dump}
-    raise SystemExit(f"unknown envelope action {args.action}")
 
 
 def cmd_equi(args) -> dict:
@@ -189,7 +184,6 @@ def cmd_equi(args) -> dict:
                 fh.write(text)
         return {"n": n, "verdict": cert.verdict, "replay_ok": equi.replay(cert),
                 "certificate": text.splitlines(), "output": args.output or ""}
-    raise SystemExit(f"unknown equi action {args.action}")
 
 
 def cmd_ramsey(args) -> dict:
@@ -226,7 +220,6 @@ def cmd_ramsey(args) -> dict:
         rep = ramsey.dual_ramsey_demo(args.d, args.m, args.e, seed=args.seed)
         return {"n": rep.n, "eps": rep.eps, "h_rigid": rep.h_rigid,
                 "approx_error": rep.approx_error, "ok": rep.ok}
-    raise SystemExit(f"unknown ramsey action {args.action}")
 
 
 def cmd_lattice(args) -> dict:
@@ -242,7 +235,6 @@ def cmd_lattice(args) -> dict:
             return {"refused": True, "reason": str(exc)}
         return {"matrix": [list(map(float, row)) for row in r.xi.matrix],
                 "distance": r.distance, "bound": r.bound}
-    raise SystemExit(f"unknown lattice action {args.action}")
 
 
 def cmd_suite(args) -> tuple[dict, int]:

@@ -5,13 +5,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
 FLOAT_TOL = 1e-9
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -56,24 +53,17 @@ class PIndex:
     def from_json(cls, obj) -> "PIndex":
         if obj == "inf":
             return cls(None)
-        if isinstance(obj, str):
-            return cls(Fraction(obj))
         return cls(Fraction(obj))
 
 
-def norm_p(x: np.ndarray, p: PIndex) -> float:
-    """l_p norm of a coordinate vector (max-norm when p is infinite)."""
+def norm_p(x: np.ndarray, p, axis: int | None = None) -> float | np.ndarray:
+    """l_p norm of a coordinate vector (max-norm when p is infinite), or the
+    array of norms of its slices along axis; the one unweighted l_p norm."""
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         return 0.0
-    if p.is_inf:
-        return float(np.max(np.abs(x)))
-    pf = float(p)
-    if pf == 1:
-        return float(np.sum(np.abs(x)))
-    if pf == 2:
-        return float(np.linalg.norm(x))
-    return float(np.sum(np.abs(x) ** pf) ** (1.0 / pf))
+    out = np.linalg.norm(x, float(p), axis)
+    return float(out) if axis is None else out
 
 
 def frac_to_json(q: Fraction) -> str:
@@ -81,8 +71,6 @@ def frac_to_json(q: Fraction) -> str:
 
 
 def frac_from_json(s) -> Fraction:
-    if isinstance(s, str):
-        return Fraction(s)
     return Fraction(s)
 
 
@@ -97,12 +85,7 @@ def sphere_points(rng: np.random.Generator, count: int, dim: int, p: PIndex) -> 
     # avoid zero rows
     bad = np.all(g == 0, axis=1)
     g[bad, 0] = 1.0
-    if p.is_inf:
-        norms = np.max(np.abs(g), axis=1)
-    else:
-        pf = float(p)
-        norms = np.sum(np.abs(g) ** pf, axis=1) ** (1.0 / pf)
-    return g / norms[:, None]
+    return g / norm_p(g, p, axis=1)[:, None]
 
 
 def dumps_canonical(obj) -> str:

@@ -38,14 +38,6 @@ class GapPreconditionError(ValueError):
         super().__init__(f"gap upper bound {gap_upper:.6g} exceeds required {needed:.6g}")
 
 
-def _row_norms(pts: np.ndarray, p: PIndex) -> np.ndarray:
-    """The l_p norm of every row of a 2-d array."""
-    if p.is_inf:
-        return np.max(np.abs(pts), axis=1)
-    pf = float(p)
-    return np.sum(np.abs(pts) ** pf, axis=1) ** (1 / pf)
-
-
 @dataclass(frozen=True)
 class Subspace:
     ambient_n: int
@@ -69,7 +61,7 @@ class Subspace:
         return VectorP(self.basis @ np.asarray(coeffs, dtype=float), self.ambient_p)
 
     def _normalize(self, pts: np.ndarray) -> np.ndarray:
-        norms = _row_norms(pts, self.ambient_p)
+        norms = norm_p(pts, self.ambient_p, axis=1)
         norms[norms == 0] = 1.0
         return pts / norms[:, None]
 
@@ -351,7 +343,7 @@ def auerbach_basis(X: Subspace, restarts: int = 16, seed: int = 0,
     # verify max_j |a_j| <= ||sum a_j x_j|| on a sampled grid
     coeffs = rng.standard_normal((check_samples, k))
     coeffs /= np.max(np.abs(coeffs), axis=1)[:, None]
-    nv = _row_norms((vecs @ coeffs.T).T, X.ambient_p)
+    nv = norm_p((vecs @ coeffs.T).T, X.ambient_p, axis=1)
     with np.errstate(divide="ignore"):
         worst = float(np.max(np.max(np.abs(coeffs), axis=1) / nv))
     defect = max(0.0, worst - 1.0)

@@ -31,9 +31,6 @@ class MazurParams:
     def exponent(self) -> float:
         return float(self.p) / float(self.q)
 
-    def inverse(self) -> "MazurParams":
-        return MazurParams(self.q, self.p)
-
 
 def mazur_map(x: VectorP, params: MazurParams) -> VectorP:
     """Coordinatewise sign(x)|x|^(p/q), sending the l_p sphere to the l_q sphere."""

@@ -43,10 +43,6 @@ class DiscreteSpace:
         return cls(tuple((i, Fraction(1, n)) for i in range(n)))
 
     @property
-    def labels(self):
-        return [lab for lab, _ in self.atoms]
-
-    @property
     def masses(self) -> np.ndarray:
         """Float atom masses, built once at construction; read-only."""
         return self._masses
@@ -180,33 +176,6 @@ def _exact_sq_dist(z1, z2) -> Fraction:
     return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(z1, z2))
 
 
-class _Cand:
-    """A candidate epsilon, either a rational mass value or sqrt(rational) distance."""
-
-    __slots__ = ("kind", "q")
-
-    def __init__(self, kind: str, q: Fraction):
-        self.kind = kind  # 'm' value q, or 'd' value sqrt(q)
-        self.q = q
-
-    def value(self) -> float:
-        return float(self.q) if self.kind == "m" else math.sqrt(float(self.q))
-
-    def __le__(self, other: "_Cand") -> bool:
-        if self.kind == other.kind:
-            return self.q <= other.q
-        if self.kind == "m":  # q vs sqrt(r)
-            if self.q < 0:
-                return True
-            return self.q**2 <= other.q
-        if other.q < 0:
-            return False
-        return self.q <= other.q**2
-
-    def __lt__(self, other: "_Cand") -> bool:
-        return self <= other and not (other <= self)
-
-
 def _augment(res: list[list[int]], adj: list[list[int]], s: int, t: int) -> tuple[int, list[int]]:
     """Edmonds-Karp: push flow along shortest residual s-t paths until none is
     left.  Returns the flow added and the parent array of the last, failed
@@ -295,11 +264,12 @@ def levy_prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LPResult:
             added, reach = _augment(res, adj, s, t)
             flow += added
         gap = Fraction(big - flow, den)
-        cand = _Cand("d", lev) if _Cand("m", gap) <= _Cand("d", lev) else _Cand("m", gap)
-        # candidate feasible if it stays below the next distance level
-        if li + 1 == len(levels) or cand < _Cand("d", levels[li + 1]):
-            v = cand.value()
+        # the candidate is max(gap, sqrt(lev)), feasible if below sqrt(next level)
+        if gap * gap <= lev:
+            v = math.sqrt(float(lev))
             return LPResult(v, v, True)
+        if li + 1 == len(levels) or gap * gap < levels[li + 1]:
+            return LPResult(float(gap), float(gap), True)
 
 
 def dhat_p(mu: DiscreteMeasure, nu: DiscreteMeasure, grid: PCharGrid, p) -> float:

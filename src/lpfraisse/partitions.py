@@ -34,17 +34,20 @@ class BoxPartition:
     epsilon: float
     breakpoints: tuple[tuple[float, ...], ...]  # per axis, -K .. K inclusive
 
-    def interval_index(self, axis: int, value: float) -> int:
-        """Index of the axis interval containing value; TAIL when |value| > K."""
-        if abs(value) > self.K:
-            return TAIL
-        bp = self.breakpoints[axis]
-        # half-open [b_i, b_{i+1}), last interval closed at K
-        idx = int(np.searchsorted(bp, value, side="right")) - 1
-        return min(max(idx, 0), len(bp) - 2)
-
-    def cell_key(self, values) -> tuple[int, ...]:
-        return tuple(self.interval_index(j, float(values[j])) for j in range(self.dim))
+    def cells_of(self, values: np.ndarray) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Atoms grouped by the box holding them, in atom order; values is
+        (dim, atoms).  A key holds one interval index per axis, TAIL where
+        |value| > K."""
+        values = np.asarray(values, dtype=float)
+        idx = np.empty(values.shape, dtype=int)
+        for j, bp in enumerate(self.breakpoints):
+            # half-open [b_i, b_{i+1}), last interval closed at K
+            idx[j] = np.clip(np.searchsorted(bp, values[j], side="right") - 1, 0, len(bp) - 2)
+        idx[np.abs(values) > self.K] = TAIL
+        cells: dict[tuple[int, ...], list[int]] = {}
+        for a, key in enumerate(zip(*idx.tolist())):
+            cells.setdefault(key, []).append(a)
+        return {k: tuple(v) for k, v in cells.items()}
 
     def max_bounded_width(self, axis: int) -> float:
         bp = self.breakpoints[axis]
@@ -74,9 +77,9 @@ class PullbackPartition:
         return [k for k in self.positive_keys if k[axis] == TAIL]
 
 
-def _snap_off(value: float, taken: np.ndarray) -> float:
+def _snap_off(value: float, taken: set[float]) -> float:
     step = max(abs(value), 1.0) * 2.0 ** -40
-    while np.any(taken == value):
+    while value in taken:
         value += step
     return value
 
@@ -106,7 +109,7 @@ def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    nfun, natoms = values.shape
+    nfun = len(values)
     pf = float(PIndex.of(p))
     masses = space.masses
 
@@ -122,13 +125,14 @@ def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
             break
         K = cand
         i += 1
-    K = _snap_off(K, np.abs(values).ravel())
+    K = _snap_off(K, set(np.abs(values).ravel().tolist()))
 
     total = float(space.total_mass())
     width = eps / (3 * total) ** (1 / pf)
     breakpoints = []
     for j in range(nfun):
         vals = np.unique(values[j])
+        taken = set(vals.tolist())
         mids = (vals[:-1] + vals[1:]) / 2 if len(vals) > 1 else np.array([])
         bp = [-K]
         while bp[-1] < K:
@@ -141,16 +145,10 @@ def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
             if snap.size:
                 bp.append(float(snap[-1]))
             else:
-                bp.append(_snap_off(lo + width * (1 - 1e-6), vals))
+                bp.append(_snap_off(lo + width * (1 - 1e-6), taken))
         breakpoints.append(tuple(bp))
     part = BoxPartition(nfun, K, eps, tuple(breakpoints))
-
-    cells: dict[tuple[int, ...], list[int]] = {}
-    for a in range(natoms):
-        key = part.cell_key(values[:, a])
-        cells.setdefault(key, []).append(a)
-    pb = PullbackPartition({k: tuple(v) for k, v in cells.items()})
-    return part, pb
+    return part, PullbackPartition(part.cells_of(values))
 
 
 def conditional_expectation(f: np.ndarray, pullback: PullbackPartition, space: DiscreteSpace) -> np.ndarray:
@@ -185,9 +183,7 @@ class Envelope:
 
     def envelope_norm(self, cell_coeffs: np.ndarray) -> float:
         """Weighted p-norm on cell coordinates; isometric to l_p^m."""
-        pf = float(self.p)
-        w = np.array([float(x) for x in self.weights])
-        return float(np.sum(w * np.abs(np.asarray(cell_coeffs, dtype=float)) ** pf) ** (1 / pf))
+        return DiscreteSpace(tuple(zip(self.cell_keys, self.weights))).norm(cell_coeffs, self.p)
 
 
 def _weighted_subspace(basis_vals: np.ndarray, space: DiscreteSpace, p: PIndex) -> tuple[Subspace, np.ndarray]:
@@ -220,11 +216,7 @@ def envelope(basis_vals: np.ndarray, space: DiscreteSpace, eps: float, p,
     part, pb = build_appropriate(F.T, space, eps / (6 * k), p)
     keys = pb.positive_keys
     masses_exact = {key: sum((space.atoms[a][1] for a in pb.cells[key]), Fraction(0)) for key in keys}
-    xi = np.zeros((len(keys), k))
-    for ci, key in enumerate(keys):
-        idx = list(pb.cells[key])
-        w = space.masses[idx]
-        xi[ci] = (w[:, None] * F[idx]).sum(axis=0) / w.sum()
+    xi = conditional_expectation(F, pb, space)[[pb.cells[key][0] for key in keys]]
 
     rng = rng_from_seed(seed + 1)
     f = F @ rng.standard_normal((samples, k)).T  # (atoms, samples)
@@ -262,13 +254,9 @@ def transfer_isometry(env: Envelope, gamma_vals: np.ndarray, space1: DiscreteSpa
     natoms1, k = G.shape
     if k != env.basis.shape[1]:
         raise ValueError("gamma must provide images of the envelope basis")
-    part = env.partition
     pf = float(env.p)
 
-    target_cells: dict[tuple[int, ...], list[int]] = {}
-    for a in range(natoms1):
-        key = part.cell_key(G[a])
-        target_cells.setdefault(key, []).append(a)
+    target_cells = env.partition.cells_of(G.T)
 
     missing = [key for key in env.cell_keys if key not in target_cells]
     if missing:
@@ -278,7 +266,7 @@ def transfer_isometry(env: Envelope, gamma_vals: np.ndarray, space1: DiscreteSpa
     ratios = tuple(env.weights[i] / m1[key] for i, key in enumerate(env.cell_keys))
     I = np.zeros((natoms1, env.num_cells))
     for ci, key in enumerate(env.cell_keys):
-        I[target_cells[key], ci] = float(ratios[ci]) ** (1 / pf)
+        I[list(target_cells[key]), ci] = float(ratios[ci]) ** (1 / pf)
 
     # exact isometry certificate: ||I(sum a_R 1_R)||^p = sum |a_R|^p (mu0/mu1) mu1 = sum |a_R|^p mu0
     isometric = all(ratios[i] * m1[key] == env.weights[i] for i, key in enumerate(env.cell_keys))

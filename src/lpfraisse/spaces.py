@@ -260,12 +260,7 @@ def distortion(T, samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0) -> Disto
         raise NotInjectiveError("zero column in a claimed embedding")
     rng = rng_from_seed(seed)
     pts = sphere_points(rng, samples, T.domain_dim, T.domain_p)
-    imgs = m @ pts.T
-    if T.codomain_p.is_inf:
-        vals = np.max(np.abs(imgs), axis=0)
-    else:
-        pf = float(T.codomain_p)
-        vals = np.sum(np.abs(imgs) ** pf, axis=0) ** (1.0 / pf)
+    vals = norm_p(m @ pts.T, T.codomain_p, axis=0)
     # include unit basis directions in the sample
     vals = np.concatenate([vals, np.asarray(col_norms)])
     lo = float(np.min(vals))

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from lpfraisse import equi, geometry, lattice, mazur, measures, partitions, ramsey, spaces
-from lpfraisse.core import PIndex, rng_from_seed
+from lpfraisse.core import PIndex, norm_p, rng_from_seed
 
 
 @dataclass
@@ -222,8 +222,6 @@ def check_concentration_bound(seed=0, fast=False) -> CheckResult:
         if alpha > math.exp(-1 / 8) + 1e-12:
             ok = False
         n = 2
-        if s**n > cap:
-            continue
         while s**n <= cap:
             alphas = equi.alpha_profile(n, s, 0.5, n - 1)
             for t in range(n):
@@ -429,9 +427,9 @@ def check_mazur(seed=0, fast=False) -> CheckResult:
     for (p, q) in pairs:
         params = mazur.MazurParams(p, q)
         xs = rng.standard_normal((samples, 6))
-        xs /= np.sum(np.abs(xs) ** p, axis=1)[:, None] ** (1 / p)
+        xs /= norm_p(xs, p, axis=1)[:, None]
         ys = xs + rng.standard_normal((samples, 6)) * rng.uniform(0, 0.5, size=(samples, 1))
-        ys /= np.sum(np.abs(ys) ** p, axis=1)[:, None] ** (1 / p)
+        ys /= norm_p(ys, p, axis=1)[:, None]
         mx = np.sign(xs) * np.abs(xs) ** (p / q)
         my = np.sign(ys) * np.abs(ys) ** (p / q)
         norm_def = np.max(np.abs(np.sum(np.abs(mx) ** q, axis=1) - 1.0))
@@ -439,8 +437,8 @@ def check_mazur(seed=0, fast=False) -> CheckResult:
             ok = False
         if not np.array_equal(np.sign(mx), np.sign(xs)):
             ok = False
-        lhs = np.sum(np.abs(mx - my) ** q, axis=1) ** (1 / q)
-        t = np.sum(np.abs(xs - ys) ** p, axis=1) ** (1 / p)
+        lhs = norm_p(mx - my, q, axis=1)
+        t = norm_p(xs - ys, p, axis=1)
         rhs = mazur.continuity_modulus(params, t)
         excess = float(np.max(lhs - rhs))
         worst[f"modulus_excess_{p}{q}"] = excess
@@ -646,29 +644,27 @@ def check_gap_geometry(seed=0, fast=False) -> CheckResult:
                         "worst_claim_excess": worst_claim, "worst_bridge_excess": worst_bridge})
 
 
-ALL_CHECKS = [
-    check_bump_identities,
-    check_cdf_inversion,
-    check_even_odd_uniqueness,
-    check_matching_bound,
-    check_concentration_bound,
-    check_window_counting,
-    check_lattice_rounding,
-    check_amalgamation,
-    check_hilbert_rounding,
-    check_mazur,
-    check_envelope_pipeline,
-    check_certificates,
-    check_spread_dp,
-    check_gap_geometry,
-]
+# keyed by the name each check reports in its row
+ALL_CHECKS = {
+    "bump-identities": check_bump_identities,
+    "cdf-inversion": check_cdf_inversion,
+    "characteristic-uniqueness": check_even_odd_uniqueness,
+    "matching-bound": check_matching_bound,
+    "concentration-bound": check_concentration_bound,
+    "window-counting": check_window_counting,
+    "lattice-rounding": check_lattice_rounding,
+    "amalgamation": check_amalgamation,
+    "hilbert-rounding": check_hilbert_rounding,
+    "mazur-transport": check_mazur,
+    "envelope-pipeline": check_envelope_pipeline,
+    "certificates": check_certificates,
+    "spread-dp": check_spread_dp,
+    "gap-geometry": check_gap_geometry,
+}
 
 
 def run_suite(seed: int = 0, fast: bool = False, names: list[str] | None = None) -> list[CheckResult]:
-    results = []
-    for fn in ALL_CHECKS:
-        res_name = fn.__name__.removeprefix("check_").replace("_", "-")
-        if names and res_name not in names and fn.__name__ not in names:
-            continue
-        results.append(fn(seed=seed, fast=fast))
-    return results
+    unknown = sorted(set(names or ()) - ALL_CHECKS.keys())
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; valid names: {', '.join(ALL_CHECKS)}")
+    return [fn(seed=seed, fast=fast) for name, fn in ALL_CHECKS.items() if not names or name in names]

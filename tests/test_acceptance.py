@@ -27,6 +27,10 @@ BUDGETS = {
 }
 
 
+def test_budgets_name_every_check():
+    assert BUDGETS.keys() == suite.ALL_CHECKS.keys()
+
+
 def _report(res):
     status = "PASS" if res.passed else "FAIL"
     print(f"\n[{status}] {res.name}  ({res.runtime:.2f}s)  {res.details}")

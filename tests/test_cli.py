@@ -126,6 +126,20 @@ def test_suite_single_criterion_fast():
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("name", ["characteristic-uniqueness", "mazur-transport"])
+def test_suite_criteria_select_by_reported_name(name):
+    r = run_cli("--format", "json", "suite", "--fast", "--criteria", name)
+    assert r.returncode == 0
+    assert [row["name"] for row in json.loads(r.stdout)["rows"]] == [name]
+
+
+def test_suite_unknown_criterion_exit_code():
+    r = run_cli("--format", "json", "suite", "--fast", "--criteria", "nonsense")
+    assert r.returncode == 2
+    err = json.loads(r.stdout)["error"]
+    assert "nonsense" in err and "mazur-transport" in err
+
+
 def test_suite_exit_code_counts_uncertified_checks(monkeypatch, capsys):
     from lpfraisse import cli, suite
 

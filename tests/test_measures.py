@@ -254,6 +254,34 @@ def _max_mass_gap_walk(masses_a, cover, masses_b):
     return best
 
 
+class _Cand:
+    """A candidate epsilon, either a rational mass value or sqrt(rational)
+    distance (frozen copy of the comparison the library once used)."""
+
+    __slots__ = ("kind", "q")
+
+    def __init__(self, kind: str, q: Fraction):
+        self.kind = kind  # 'm' value q, or 'd' value sqrt(q)
+        self.q = q
+
+    def value(self) -> float:
+        return float(self.q) if self.kind == "m" else math.sqrt(float(self.q))
+
+    def __le__(self, other: "_Cand") -> bool:
+        if self.kind == other.kind:
+            return self.q <= other.q
+        if self.kind == "m":  # q vs sqrt(r)
+            if self.q < 0:
+                return True
+            return self.q**2 <= other.q
+        if other.q < 0:
+            return False
+        return self.q <= other.q**2
+
+    def __lt__(self, other: "_Cand") -> bool:
+        return self <= other and not (other <= self)
+
+
 def _subset_walk_lp(mu, nu):
     """Reference oracle: both mass gaps by exhaustive subset walks at every
     distance level, and the least feasible candidate over all levels."""
@@ -266,8 +294,8 @@ def _subset_walk_lp(mu, nu):
         cover_mu = [[t for t in range(nu.size) if sq[i][t] <= lev] for i in range(mu.size)]
         cover_nu = [[i for i in range(mu.size) if sq[i][t] <= lev] for t in range(nu.size)]
         gap = max(_max_mass_gap_walk(m_mass, cover_mu, n_mass), _max_mass_gap_walk(n_mass, cover_nu, m_mass))
-        cand = M._Cand("d", lev) if M._Cand("m", gap) <= M._Cand("d", lev) else M._Cand("m", gap)
-        if li + 1 < len(levels) and not (cand < M._Cand("d", levels[li + 1])):
+        cand = _Cand("d", lev) if _Cand("m", gap) <= _Cand("d", lev) else _Cand("m", gap)
+        if li + 1 < len(levels) and not (cand < _Cand("d", levels[li + 1])):
             continue
         if best is None or cand < best:
             best = cand

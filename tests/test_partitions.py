@@ -209,6 +209,59 @@ class TestTransfer:
         assert exc.value.offending
 
 
+def _interval_index_reference(part, axis, value):
+    """Frozen copy of the per-atom interval lookup cells_of replaced."""
+    if abs(value) > part.K:
+        return TAIL
+    bp = part.breakpoints[axis]
+    idx = int(np.searchsorted(bp, value, side="right")) - 1
+    return min(max(idx, 0), len(bp) - 2)
+
+
+def test_cells_of_matches_per_atom_lookup():
+    rng = rng_from_seed(16)
+    for trial in range(12):
+        nfun, natoms = 1 + trial % 3, 10 + 7 * trial
+        sp = DiscreteSpace(tuple((i, Fraction(int(rng.integers(1, 9)), 64)) for i in range(natoms)))
+        vals = rng.normal(size=(nfun, natoms)) * (1 + trial % 4)
+        part, pb = build_appropriate(vals, sp, 0.5, (1, 3)[trial % 2])
+        # probe values: the atoms, every breakpoint and its neighbours,
+        # +-K, beyond K and signed zeros
+        probes = [vals]
+        for ax in range(nfun):
+            bp = np.array(part.breakpoints[ax])
+            extra = np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                                    [part.K, -part.K, 1.5 * part.K, -1.5 * part.K, 0.0, -0.0]])
+            col = np.tile(vals[:, :1], (1, extra.size))
+            col[ax] = extra
+            probes.append(col)
+        values = np.hstack(probes)
+        want: dict = {}
+        for a in range(values.shape[1]):
+            key = tuple(_interval_index_reference(part, j, float(values[j, a])) for j in range(nfun))
+            want.setdefault(key, []).append(a)
+        got = part.cells_of(values)
+        assert list(got) == list(want)
+        assert all(got[k] == tuple(v) for k, v in want.items())
+        assert any(TAIL in k for k in got)
+        assert pb.cells == part.cells_of(vals)
+
+
+def test_xi_matches_per_cell_loop():
+    rng = rng_from_seed(17)
+    for trial in range(8):
+        natoms, k = 12 + 5 * trial, 1 + trial % 3
+        sp = DiscreteSpace(tuple((i, Fraction(int(rng.integers(1, 9)), 64)) for i in range(natoms)))
+        B = np.column_stack([np.ones(natoms)] + [rng.normal(size=natoms) for _ in range(k - 1)])
+        env = envelope(B, sp, 0.5, (1, 3)[trial % 2], seed=trial, samples=64)
+        xi = np.zeros((env.num_cells, k))
+        for ci, key in enumerate(env.cell_keys):
+            idx = list(env.pullback.cells[key])
+            w = sp.masses[idx]
+            xi[ci] = (w[:, None] * env.basis[idx]).sum(axis=0) / w.sum()
+        assert np.array_equal(env.xi, xi)
+
+
 def test_batched_defects_match_per_sample_loop():
     # reference: the defects computed one sample at a time
     rng = rng_from_seed(15)
