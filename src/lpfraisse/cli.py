@@ -133,6 +133,7 @@ def cmd_envelope(args) -> dict:
     basis = np.array(_read_json(args.basis), dtype=float)
     env = partitions.envelope(basis, space, args.eps, Fraction(args.p), seed=args.seed)
     dump = {
+        "basis": env.basis.tolist(),
         "partition": env.partition.to_json(),
         "cells": [{"key": list(k), "mass": str(w)} for k, w in zip(env.cell_keys, env.weights)],
         "defect": env.defect,

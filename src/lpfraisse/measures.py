@@ -248,11 +248,18 @@ def levy_prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LPResult:
         join(s, 1 + i, caps[i])
     for i in range(m, len(caps)):
         join(1 + i, t, caps[i])
-    pairs: dict[Fraction, list[tuple[int, int]]] = {Fraction(0): []}
-    for i, a in enumerate(mu.points):
-        for j, b in enumerate(nu.points):
-            pairs.setdefault(_exact_sq_dist(a, b), []).append((1 + i, 1 + m + j))
+    # float coordinates are dyadic rationals: on their common denominator D
+    # they are integers, and each squared distance is an integer level over D^2
+    ratios = [[x.as_integer_ratio() for x in z] for z in np.vstack([mu.points, nu.points]).tolist()]
+    D = max(d for z in ratios for _, d in z)
+    zs = [[a * (D // d) for a, d in z] for z in ratios]
+    pairs: dict[int, list[tuple[int, int]]] = {0: []}
+    for i in range(m):
+        for j in range(m, len(caps)):
+            sq = sum((a - b) ** 2 for a, b in zip(zs[i], zs[j]))
+            pairs.setdefault(sq, []).append((1 + i, 1 + j))
     levels = sorted(pairs)
+    D2, den2 = D * D, den * den
 
     # A failed search leaves a source-reachable set with no residual edge out
     # of it; a joined pair (u, v) can only open a path when it leaves that set.
@@ -263,13 +270,14 @@ def levy_prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LPResult:
         if reach is None or any(reach[u] >= 0 > reach[v] for u, v in pairs[lev]):
             added, reach = _augment(res, adj, s, t)
             flow += added
-        gap = Fraction(big - flow, den)
-        # the candidate is max(gap, sqrt(lev)), feasible if below sqrt(next level)
-        if gap * gap <= lev:
-            v = math.sqrt(float(lev))
+        gap2 = (big - flow) ** 2 * D2  # (gap * den * D)^2
+        # the candidate is max(gap, sqrt(lev) / D), feasible if below the next level's distance
+        if gap2 <= lev * den2:
+            v = math.sqrt(lev / D2)
             return LPResult(v, v, True)
-        if li + 1 == len(levels) or gap * gap < levels[li + 1]:
-            return LPResult(float(gap), float(gap), True)
+        if li + 1 == len(levels) or gap2 < levels[li + 1] * den2:
+            gap = float(Fraction(big - flow, den))
+            return LPResult(gap, gap, True)
 
 
 def dhat_p(mu: DiscreteMeasure, nu: DiscreteMeasure, grid: PCharGrid, p) -> float:

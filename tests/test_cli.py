@@ -1,15 +1,23 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import lpfraisse
+
 RUN = [sys.executable, "-m", "lpfraisse.cli"]
+# the child imports the package from where this process found it, installed or not
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(lpfraisse.__file__).parents[1])] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
 
 
 def run_cli(*args, stdin=None):
-    return subprocess.run(RUN + list(args), capture_output=True, text=True, input=stdin)
+    return subprocess.run(RUN + list(args), capture_output=True, text=True, input=stdin, env=ENV)
 
 
 def test_equi_delta():
@@ -112,11 +120,31 @@ def test_error_path_exit_code():
 
 
 def test_env_seed_fallback():
-    import os
-    env = dict(**__import__("os").environ, LPFRAISSE_SEED="99")
+    env = dict(ENV, LPFRAISSE_SEED="99")
     a = subprocess.run(RUN + ["measures", "counterexample", "--p", "2"],
                        capture_output=True, text=True, env=env)
     assert a.returncode == 0
+
+
+def test_envelope_transfer_onto_printed_basis(tmp_path):
+    # the identity transfer: target space = source space, gamma = the printed basis
+    rng = np.random.default_rng(4)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"atoms": [{"label": a, "mass": f"{int(m)}/300"}
+                                           for a, m in enumerate(rng.integers(1, 20, size=30))]}))
+    basis = tmp_path / "basis.json"
+    basis.write_text(json.dumps(np.column_stack([np.ones(30), rng.normal(size=30)]).tolist()))
+    common = ("--seed", "4", "envelope")
+    opts = ("--space", str(space), "--basis", str(basis), "--p", "3", "--eps", "0.4")
+    built = run_cli(*common, "build", *opts)
+    assert built.returncode == 0
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps(json.loads(built.stdout)["basis"]))
+    r = run_cli(*common, "transfer", *opts, "--target-space", str(space), "--gamma", str(gamma))
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert out["isometric_exact"] is True
+    assert out["envelope"]["basis"] == json.loads(built.stdout)["basis"]
 
 
 def test_suite_single_criterion_fast():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -5,8 +7,8 @@ from scipy.spatial.distance import cdist
 
 from lpfraisse.core import PIndex, norm_p, rng_from_seed
 from lpfraisse.geometry import (
-    GapPreconditionError, Subspace, _dists_to_unit_ball, auerbach_basis, bm_from_gap,
-    dist_to_unit_ball, gap_estimate,
+    GapPreconditionError, Subspace, _dists_to_unit_ball, _dual_norm_argmax, auerbach_basis,
+    bm_from_gap, dist_to_unit_ball, gap_estimate,
 )
 from lpfraisse.spaces import VectorP
 
@@ -196,6 +198,53 @@ class TestGapEstimate:
             assert est.lower <= 2 * (1 + delta) * opnorm + 1e-9
 
 
+def slsqp_dual_norm(g, B, p, rng):
+    """max <g, c> over ||Bc||_p <= 1 by SLSQP from the p = 2 optimum and one
+    random start, each end point scaled onto the sphere (a test-only reference)."""
+    def cons_jac(c):
+        z = B @ c
+        return p * (np.abs(z) ** (p - 1) * np.sign(z)) @ B
+
+    cons = [{"type": "eq", "fun": lambda c: np.sum(np.abs(B @ c) ** p) - 1, "jac": cons_jac}]
+    best = -np.inf
+    for c0 in (np.linalg.solve(B.T @ B, g), rng.standard_normal(len(g))):
+        r = scipy.optimize.minimize(lambda c: -g @ c, c0 / norm_p(B @ c0, p), jac=lambda c: -g,
+                                    method="SLSQP", constraints=cons, options={"maxiter": 200, "ftol": 1e-14})
+        best = max(best, g @ r.x / norm_p(B @ r.x, p))
+    return best
+
+
+class TestDualNormArgmax:
+    @pytest.mark.parametrize("p", ["5/4", "3/2", "2", "3", "7"])
+    def test_finite_p_matches_slsqp(self, p):
+        rng = rng_from_seed(60)
+        pf = float(Fraction(p))
+        for _ in range(100):
+            n = int(rng.integers(2, 51))
+            k = int(rng.integers(1, min(n, 4) + 1))
+            B, g = rng.standard_normal((n, k)), rng.standard_normal(k)
+            c = _dual_norm_argmax(g[None, :], Subspace(n, PIndex.of(p), B))[0]
+            assert norm_p(B @ c, pf) == pytest.approx(1.0, abs=1e-12)
+            ref = slsqp_dual_norm(g, B, pf, rng)
+            assert g @ c == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1, None])
+    def test_stacked_lp_matches_rows(self, p):
+        rng = rng_from_seed(61)
+        for n, k in ((3, 2), (8, 3), (30, 4)):
+            Y = Subspace(n, PIndex.of(p), rng.standard_normal((n, k)))
+            G = rng.standard_normal((16, k))
+            C = _dual_norm_argmax(G, Y)
+            rows = np.array([_dual_norm_argmax(g[None, :], Y)[0] for g in G])
+            assert np.max(np.abs(np.sum(G * C, axis=1) - np.sum(G * rows, axis=1))) <= 1e-12
+            assert np.max(norm_p(C @ Y.basis.T, PIndex.of(p), axis=1)) <= 1 + 1e-9
+
+
+# |det| of the coefficient matrix of the basis the coordinate ascent found at
+# p = 2, on rng_from_seed(40 + k).standard_normal((n, k))
+ASCENT_VOLUMES = {(4, 2): 0.3429514788663467, (5, 3): 0.5465280051002613, (6, 4): 0.19771599331736758}
+
+
 class TestAuerbach:
     def test_unit_basis_is_auerbach(self):
         for p in (1, 2, None):
@@ -222,6 +271,15 @@ class TestAuerbach:
             v = res.vectors @ a
             worst = max(worst, np.max(np.abs(a)) / np.sum(np.abs(v)))
         assert worst - 1 <= max(res.defect, 0) + 1e-6
+
+    @pytest.mark.parametrize("n, k", sorted(ASCENT_VOLUMES))
+    def test_euclidean_qr_basis(self, n, k):
+        B = rng_from_seed(40 + k).standard_normal((n, k))
+        res = auerbach_basis(Subspace(n, PIndex.of(2), B))
+        assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0, atol=1e-12)
+        assert res.defect == 0.0 and not res.approximate
+        volume = abs(np.linalg.det(np.linalg.lstsq(B, res.vectors, rcond=None)[0]))
+        assert volume >= ASCENT_VOLUMES[n, k] - 1e-12
 
 
 class TestBmBridge:

@@ -288,7 +288,8 @@ def test_batched_defects_match_per_sample_loop():
 def pinned_instance(seed, p, k, eps, n_atoms=24):
     """Envelope of a span of few-valued functions, transferred onto the same
     atoms with fresh masses, so that cells hold several atoms and the cell
-    ratios are not all 1."""
+    ratios are not all 1.  Also returns the |det| of the Auerbach basis in the
+    coordinates of the spanning functions, the volume the ascent maximizes."""
     rng = rng_from_seed(seed)
 
     def space():
@@ -300,30 +301,37 @@ def pinned_instance(seed, p, k, eps, n_atoms=24):
     B = np.column_stack([np.ones(n_atoms)] + [rng.integers(-2, 3, size=n_atoms) / 2 for _ in range(k - 1)])
     env = envelope(B, sp0, eps, p, seed=seed)
     tr = transfer_isometry(env, env.basis, space(), seed=seed)
-    return env, tr
+    volume = abs(np.linalg.det(np.linalg.lstsq(B, env.basis, rcond=None)[0]))
+    return env, tr, volume
 
 
 # Each change in the Auerbach basis found or in the partition built moves
-# these cells, masses and ratios.
+# these cells, masses and ratios.  The last field is a floor on the Auerbach
+# volume: the |det| the earlier coordinate ascent reached, whose steps at
+# p = 3 stopped short of the dual-norm argmax.
 PINNED = [
-    ((21, 1, 2, 0.6), 9,
-     "1/5 1/9 4/135 1/9 17/135 1/15 13/90 7/270 5/27",
-     "47/64 47/27 188/675 235/207 799/1215 47/9 611/432 329/972 1175/486"),
+    ((21, 1, 2, 0.6), 7,
+     "1/5 1/9 19/135 17/135 19/90 7/270 5/27",
+     "47/64 47/27 893/1296 799/1215 893/486 329/972 1175/486",
+     2.1318282840098255),
     ((22, 3, 2, 0.6), 8,
-     "23/204 19/204 16/51 5/102 43/204 4/51 4/51 13/204",
-     "6371/6324 5263/2244 2216/2397 1385/816 11911/18564 277/204 277/102 3601/3672"),
-    ((23, 3, 3, 0.8), 20,
-     "7/106 13/212 3/212 3/53 7/106 13/212 9/106 13/212 13/212 3/106 "
-     "17/212 2/53 3/212 3/53 3/212 15/212 13/212 1/212 7/212 7/106",
-     "1757/424 3263/212 251/1060 753/1007 1757/1696 3263/6360 2259/4558 251/212 3263/1060 251/530 "
-     "4267/636 502/795 251/636 251/265 753/3392 3765/212 3263/2120 251/2332 1757/1696 1757/212"),
+     "7/34 23/204 1/17 13/68 13/204 5/34 4/51 29/204",
+     "277/204 6371/3672 277/408 3601/4080 277/408 277/442 277/204 8033/5304",
+     1.37129783932468),
+    ((23, 3, 3, 0.8), 17,
+     "7/106 7/212 7/106 17/212 9/106 2/53 13/212 9/106 13/212 3/212 3/212 9/212 3/106 4/53 "
+     "13/212 13/106 7/106",
+     "1757/212 1757/1696 251/318 4267/636 2259/4558 502/795 251/212 2259/1802 3263/1060 251/636 "
+     "753/1696 2259/1484 251/530 251/212 3263/6360 3263/3710 1757/424",
+     1.5988504803389294),
 ]
 
 
-@pytest.mark.parametrize("args, cells, weights, ratios", PINNED, ids=["p1-k2", "p3-k2", "p3-k3"])
-def test_pinned_envelope_transfer(args, cells, weights, ratios):
-    env, tr = pinned_instance(*args)
+@pytest.mark.parametrize("args, cells, weights, ratios, volume_floor", PINNED, ids=["p1-k2", "p3-k2", "p3-k3"])
+def test_pinned_envelope_transfer(args, cells, weights, ratios, volume_floor):
+    env, tr, volume = pinned_instance(*args)
     assert env.num_cells == cells
     assert env.weights == tuple(Fraction(w) for w in weights.split())
     assert tr.ratios == tuple(Fraction(r) for r in ratios.split())
     assert tr.isometric_exact
+    assert volume >= volume_floor - 1e-12
