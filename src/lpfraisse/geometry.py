@@ -35,8 +35,6 @@ import scipy.spatial
 from lpfraisse.core import FLOAT_TOL, PIndex, norm_p, rng_from_seed
 from lpfraisse.spaces import LinearMap, VectorP
 
-CERTIFIED_GAP = 1e-6
-
 
 class GapPreconditionError(ValueError):
     def __init__(self, gap_upper: float, needed: float):
@@ -342,7 +340,6 @@ def _dual_norm_argmax(G: np.ndarray, Y: Subspace) -> np.ndarray:
 class AuerbachResult:
     vectors: np.ndarray  # (ambient_n, dim), normalized basis
     defect: float        # worst violation of max_j |a_j| <= ||sum a_j x_j||, 0 when clean
-    approximate: bool
 
 
 def auerbach_basis(X: Subspace, restarts: int = 16, seed: int = 0,
@@ -362,10 +359,10 @@ def auerbach_basis(X: Subspace, restarts: int = 16, seed: int = 0,
     B, p = X.basis, X.ambient_p
     if k == 1:
         v = B[:, 0] / norm_p(B[:, 0], p)
-        return AuerbachResult(v[:, None], 0.0, False)
+        return AuerbachResult(v[:, None], 0.0)
     if float(p) == 2:
         # ||sum a_j q_j||_2 = ||a||_2 >= max_j |a_j| for orthonormal q_j
-        return AuerbachResult(np.linalg.qr(B)[0], 0.0, False)
+        return AuerbachResult(np.linalg.qr(B)[0], 0.0)
 
     rng = rng_from_seed(seed)
     Cs = [rng.standard_normal((k, k)) for _ in range(restarts)]
@@ -407,7 +404,7 @@ def auerbach_basis(X: Subspace, restarts: int = 16, seed: int = 0,
     with np.errstate(divide="ignore"):
         worst = float(np.max(np.max(np.abs(coeffs), axis=1) / nv))
     defect = max(0.0, worst - 1.0)
-    return AuerbachResult(vecs, defect, defect > CERTIFIED_GAP)
+    return AuerbachResult(vecs, defect)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Discrete measures on R^k: pushforwards, p-characteristic transforms with
-inversion, Levy-Prokhorov distances, plateau functions, and support checks.
+inversion, Levy-Prokhorov distances, and moment-matched pairs of measures.
 
 Exactness conventions: masses convert losslessly to rationals, fattenings are
 closed, and the one-dimensional bump used for CDF inversion is evaluated from
@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from lpfraisse.core import PIndex, rng_from_seed
 
@@ -280,27 +279,6 @@ def levy_prokhorov(mu: DiscreteMeasure, nu: DiscreteMeasure) -> LPResult:
             return LPResult(gap, gap, True)
 
 
-def dhat_p(mu: DiscreteMeasure, nu: DiscreteMeasure, grid: PCharGrid, p) -> float:
-    """Grid lower bound (>= 1) of the multiplicative characteristic metric.
-
-    A characteristic can vanish at isolated arguments (a point mass at z has
-    a zero exactly where 1 + <a, z> does); finiteness of the metric forces
-    the two transforms to vanish together, so common zeros contribute ratio
-    one and a one-sided zero witnesses an infinite lower bound.
-    """
-    cm = p_characteristic_grid(mu, grid, p)
-    cn = p_characteristic_grid(nu, grid, p)
-    tiny = 1e-14 * (1 + mu.total_mass() + nu.total_mass())
-    zm, zn = cm <= tiny, cn <= tiny
-    if np.any(zm != zn):
-        return float("inf")
-    keep = ~zm
-    if not np.any(keep):
-        return 1.0
-    r = cm[keep] / cn[keep]
-    return float(max(np.max(r), np.max(1.0 / r), 1.0))
-
-
 # ---------------------------------------------------------------------------
 # The bump G_p and the inversion formula
 # ---------------------------------------------------------------------------
@@ -332,22 +310,10 @@ def _gp_segment_coeffs(p: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(segs)
 
 
-def gp(x: float, a: float, eps: float, p: int) -> float:
-    """Bump with value 1 left of a and 0 right of a + eps*p, p odd."""
+def gp_grid(xs: np.ndarray, a: float, eps: float, p: int) -> np.ndarray:
+    """Bump with value 1 left of a and 0 right of a + eps*p, p odd, at each x."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    segs = _gp_segment_coeffs(p)
-    tau = (x - a) / eps
-    i = int(math.floor(tau))
-    i = max(-1, min(p, i))
-    coeffs = segs[i + 1]
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * tau + float(c)
-    return acc
-
-
-def gp_grid(xs: np.ndarray, a: float, eps: float, p: int) -> np.ndarray:
     segs = _gp_segment_coeffs(p)
     tau = (np.asarray(xs, dtype=float) - a) / eps
     idx = np.clip(np.floor(tau).astype(int), -1, p) + 1
@@ -420,213 +386,36 @@ def characteristic_oracle(mu: DiscreteMeasure, p) -> Callable[[float], float]:
 
 
 # ---------------------------------------------------------------------------
-# Plateau function
+# Moment-matched pairs: even-p counterexamples and the falsification search
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlateauReport:
-    coeffs: np.ndarray
-    p: float
-    residual: float
-    max_abs: float
-    tail_exponent: float
-    limit_at_zero_err: float
-    ok: bool
-
-    @property
-    def a0(self) -> float:
-        return float(self.coeffs[0])
-
-
-def _plateau_exact_odd(p: int, m: int) -> PlateauReport:
-    """Integer odd p: the whole system is rational, so the null vector, the
-    one-sided tail cancellation, and the zero limit are all certified in
-    exact arithmetic (the tails of sum a_j |z+j|^p are polynomials whose
-    coefficients the system kills identically)."""
-    rows: list[list[Fraction]] = []
-    for k in range(p + 3):
-        rows.append([Fraction(j**k) if j > 0 else Fraction(1 if k == 0 else 0) for j in range(m + 1)])
-    for l in range(p + 2):
-        e = p - l  # down to -1; j^e stays rational
-        rows.append([Fraction(0)] + [Fraction(j) ** e for j in range(1, m + 1)])
-    w = _null_vector_of_rows(rows)
-    scale = max(abs(x) for x in w)
-    w = [x / scale for x in w]
-
-    def f_exact(z: Fraction) -> Fraction:
-        return sum(wj * abs(z + j) ** p for j, wj in enumerate(w))
-
-    for z in (Fraction(2 * m), Fraction(-2 * m), Fraction(5 * m), Fraction(-5 * m)):
-        assert f_exact(z) == 0, "one-sided tails must cancel identically"
-    z0 = Fraction(1, 100)
-    lim_err = float(abs(f_exact(z0) / z0**p - w[0]))
-    coeffs = np.array([float(x) for x in w])
-    grid = np.linspace(-m - 1, m + 1, 800)
-    max_abs = float(np.max(np.abs(sum(c * np.abs(grid + j) ** p for j, c in enumerate(coeffs)))))
-    ok = lim_err < 1e-3 * max(1.0, abs(coeffs[0]))
-    return PlateauReport(coeffs, float(p), 0.0, max_abs, float("inf"), lim_err, ok)
-
-
-def plateau_function(p: float, m: int | None = None) -> PlateauReport:
-    """Coefficients a_0..a_m making f(z) = sum a_j |z+j|^p bounded and integrable.
-
-    Solves the homogeneous system sum_j a_j j^k = 0 (k <= [p]+2) and
-    sum_{j>=1} a_j j^(p-l) = 0 (l <= [p]+1) by null-space extraction, then
-    verifies decay (an empirical tail fit; the printed decay exponent is not
-    encoded) and the limit f(z)/|z|^p -> a_0 near zero.  Odd integer p runs
-    entirely in exact rational arithmetic.
-    """
-    fp = math.floor(p)
-    if p < 1 or (fp == p and fp % 2 == 0):
-        raise ValueError("p must be >= 1 and not an even integer")
-    if m is None:
-        m = 2 * fp + 6
-    if m < 2 * fp + 6:
-        raise ValueError(f"need m >= {2 * fp + 6}")
-    if fp == p:
-        return _plateau_exact_odd(int(p), m)
-
-    rows = []
-    for k in range(fp + 3):
-        rows.append([float(j**k) if j > 0 else (1.0 if k == 0 else 0.0) for j in range(m + 1)])
-    for l in range(fp + 2):
-        rows.append([0.0] + [float(j ** (p - l)) for j in range(1, m + 1)])
-    A_unscaled = np.array(rows)
-    row_scale = np.max(np.abs(A_unscaled), axis=1)
-    A = A_unscaled / row_scale[:, None]
-    ns = scipy.linalg.null_space(A)
-    if ns.shape[1] == 0:
-        return PlateauReport(np.zeros(m + 1), p, float(np.inf), 0.0, 0.0, 0.0, False)
-    # prefer a representative with a_0 of decent size, for the limit check
-    best = np.argmax(np.abs(ns[0, :]))
-    coeffs = ns[:, best] / np.linalg.norm(ns[:, best])
-    # iterative refinement in extended precision: the tail diagnostics need
-    # the system satisfied a few digits beyond double rounding
-    Al = A.astype(np.longdouble)
-    gram = A @ A.T
-    cl = coeffs.astype(np.longdouble)
-    for _ in range(4):
-        r = Al @ cl
-        try:
-            y = np.linalg.solve(gram, r.astype(float))
-        except np.linalg.LinAlgError:
-            break
-        cl = cl - Al.T @ y.astype(np.longdouble)
-        cl = cl / np.sqrt(np.sum(cl * cl))
-    coeffs = cl.astype(float)
-    residual = float(np.max(np.abs(Al @ cl)))
-
-    def f(z):
-        z = np.asarray(z, dtype=np.longdouble)
-        return sum(cl[j] * np.abs(z + j) ** np.longdouble(p) for j in range(m + 1))
-
-    grid = np.concatenate([-np.geomspace(1e-4, 1e4, 300), np.geomspace(1e-4, 1e4, 300)])
-    max_abs = float(np.max(np.abs(f(grid))))
-    # coefficient noise feeds back into the tail as ~ z^p and eventually
-    # swamps the genuine decay; fit on the decreasing prefix only
-    tail = np.geomspace(max(2.5 * m, 35), 2e4, 100)
-    tv = (np.abs(f(tail)) + np.abs(f(-tail))).astype(float)
-    i1 = 1
-    while i1 < len(tv) and tv[i1] <= tv[i1 - 1] * 1.05:
-        i1 += 1
-    if i1 >= 6 and tail[i1 - 1] / tail[0] >= 5:
-        slope = np.polyfit(np.log(tail[:i1]), np.log(tv[:i1]), 1)[0]
-        tail_exp = float(-slope)
-    else:
-        tail_exp = 0.0
-    # limit point: large enough that the O(z^{[p]+2-p}) correction is still
-    # small but division by z^p stays above the coefficient noise
-    z0 = float(np.clip((5e-4) ** (1 / min(2.0, fp + 2 - p)), 1e-4, 3e-2))
-    zl = np.longdouble(z0)
-    lim_err = float(abs((f(zl) / zl ** np.longdouble(p)) - cl[0]))
-    ok = residual < 1e-8 and tail_exp > 1 and lim_err < 1e-3 * max(1.0, abs(coeffs[0]))
-    return PlateauReport(coeffs, p, residual, max_abs, tail_exp, lim_err, ok)
-
-
-# ---------------------------------------------------------------------------
-# epsilon-full support
-# ---------------------------------------------------------------------------
-
-
-def eps_full_support(u: np.ndarray, basis: np.ndarray, space: DiscreteSpace, p,
-                     samples: int = 4096, seed: int = 0) -> float:
-    """Norm of the restriction-to-{u=0} projection on span(basis).
-
-    Exact for p = 2 (generalized eigenproblem); sampled lower bound otherwise.
-    basis has one column per spanning function, rows indexed by atoms.
-    """
-    p = PIndex.of(p)
-    u = np.asarray(u, dtype=float)
-    B = np.asarray(basis, dtype=float)
-    mask = (np.abs(u) <= 1e-12).astype(float)
-    w = space.masses
-    if not p.is_inf and float(p) == 2:
-        M = B.T @ (w[:, None] * B)
-        A = B.T @ ((w * mask)[:, None] * B)
-        vals = scipy.linalg.eigh(A, M, eigvals_only=True)
-        return float(np.sqrt(max(0.0, vals[-1])))
-    rng = rng_from_seed(seed)
-    cs = rng.standard_normal((samples, B.shape[1]))
-    best = 0.0
-    for c in cs:
-        f = B @ c
-        n = space.norm(f, p)
-        if n < 1e-12:
-            continue
-        best = max(best, space.norm(f * mask, p) / n)
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Even-p counterexamples (and the odd-p falsification generator)
-# ---------------------------------------------------------------------------
-
-
-def _null_vector_of_rows(rows: list[list[Fraction]]) -> list[Fraction]:
-    """Nonzero rational solution of a homogeneous system, by exact RREF."""
-    ncols = len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        raise ValueError("moment system has trivial null space")
-    w = [Fraction(0)] * ncols
-    w[free[0]] = Fraction(1)
-    for i, c in enumerate(pivots):
-        w[c] = -mat[i][free[0]]
-    return w
 
 
 def _rational_null_vector(points: list[Fraction], order: int) -> list[Fraction]:
-    """Nonzero rational w with sum w_i z_i^j = 0 for j = 0..order."""
-    return _null_vector_of_rows([[Fraction(z) ** j for z in points] for j in range(order + 1)])
+    """Nonzero rational w with sum w_i z_i^j = 0 for j = 0..order.
+
+    These are the weights of the divided difference on the first order + 2
+    nodes, w_i = 1 / prod_{j != i} (z_i - z_j), which kills every polynomial
+    of degree <= order; they are scaled so that the last is 1, and the
+    remaining nodes get weight 0.  On the common denominator of the nodes the
+    products are integers, and the scale cancels from every ratio.
+    """
+    k = order + 2
+    if len(points) < k:
+        raise ValueError("moment system has trivial null space")
+    den = math.lcm(*(z.denominator for z in points[:k]))
+    ns = [z.numerator * (den // z.denominator) for z in points[:k]]
+    prods = [math.prod(a - b for j, b in enumerate(ns) if j != i) for i, a in enumerate(ns)]
+    if 0 in prods:
+        raise ValueError("nodes must be distinct")
+    return [Fraction(prods[-1], d) for d in prods] + [Fraction(0)] * (len(points) - k)
 
 
 def _split_null_vector(points: list[Fraction], w: list[Fraction]) -> tuple[DiscreteMeasure, DiscreteMeasure]:
     """Positive and negative parts of a null vector w on the line, each
     normalized to a probability measure.  The zeroth moment of w cancels, so
-    both parts carry the same mass; a one-signed w is refused."""
+    both parts are nonempty and carry the same mass."""
     pos = [(z, q) for z, q in zip(points, w) if q > 0]
     neg = [(z, -q) for z, q in zip(points, w) if q < 0]
-    if not pos or not neg:
-        raise ValueError("null vector has no sign change")
     s = sum(q for _, q in pos)
     mu = DiscreteMeasure(np.array([[float(z)] for z, _ in pos]), np.array([float(q / s) for _, q in pos]))
     nu = DiscreteMeasure(np.array([[float(z)] for z, _ in neg]), np.array([float(q / s) for _, q in neg]))
@@ -678,16 +467,15 @@ def _kink_adapted_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, base: int = 64)
 
 
 def odd_p_falsification_search(p: int, trials: int, seed: int):
-    """Seeded hunt for distinct equal-characteristic pairs at odd p.
+    """Seeded hunt for distinct equal-characteristic pairs.
 
     Generates moment-matched distinct pairs (the even-p recipe, which is the
     strongest known attack) and evaluates the characteristic gap on a
     kink-adapted grid, returning the best (smallest) gap found and its pair.
-    The uniqueness theorem predicts every genuinely distinct pair keeps a
-    positive gap.
+    At odd p the uniqueness theorem predicts every pair keeps a positive gap;
+    at even p every pair has gap 0 up to rounding, which shows that the
+    attack finds equal characteristics where they exist.
     """
-    if p % 2 == 0:
-        raise ValueError("p must be odd here")
     rng = rng_from_seed(seed)
     best_gap = float("inf")
     best_pair = None
@@ -698,10 +486,7 @@ def odd_p_falsification_search(p: int, trials: int, seed: int):
         while len(pts) < p + 2:
             pts = sorted(set(pts) | {int(rng.integers(-15, 16))})
         points = [Fraction(z) for z in pts]
-        try:
-            mu, nu = _split_null_vector(points, _rational_null_vector(points, p))
-        except ValueError:
-            continue
+        mu, nu = _split_null_vector(points, _rational_null_vector(points, p))
         # disjoint integer supports with unit total mass: taking A = supp(mu),
         # the defining inequality fails below min(1, min cross distance), so
         # the LP distance is at least 1 here; no per-trial exact solve needed

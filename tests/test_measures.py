@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from lpfraisse.core import PIndex, rng_from_seed
 from lpfraisse import measures as M
 from lpfraisse.measures import (
-    DiscreteMeasure, DiscreteSpace, PCharGrid, characteristic_oracle, density, dhat_p,
-    even_p_counterexample, eps_full_support, gp, gp_exact, gp_grid,
+    DiscreteMeasure, DiscreteSpace, PCharGrid, characteristic_oracle, density,
+    even_p_counterexample, gp_exact, gp_grid,
     invert_cdf_with_error, levy_prokhorov, odd_p_falsification_search, p_characteristic,
-    p_characteristic_grid, plateau_function, pushforward,
+    p_characteristic_grid, pushforward,
 )
 
 
@@ -302,36 +302,10 @@ def _subset_walk_lp(mu, nu):
     return M.LPResult(best.value(), best.value(), True)
 
 
-class TestDhat:
-    def test_equal_measures(self):
-        mu = measure_1d([(0.5, 1.0)])
-        grid = PCharGrid.line(-2, 2, 11)
-        assert dhat_p(mu, mu, grid, 3) == pytest.approx(1.0)
-
-    def test_scaled_masses(self):
-        rng = rng_from_seed(8)
-        mu = measure_1d([(float(z), float(m)) for z, m in
-                         zip(rng.normal(size=4), rng.uniform(0.2, 1, size=4))])
-        c = 1.7
-        nu = DiscreteMeasure(mu.points, mu.masses * c)
-        grid = PCharGrid.line(-3, 3, 31)
-        for p in (1, 3):
-            assert dhat_p(mu, nu, grid, p) == pytest.approx(c ** (1 / p), rel=1e-12)
-
-    def test_monotone_under_refinement(self):
-        rng = rng_from_seed(9)
-        mu = measure_1d([(0.0, 1.0), (1.0, 0.5)])
-        nu = measure_1d([(0.2, 1.0), (0.9, 0.6)])
-        coarse = PCharGrid.line(-2, 2, 9)
-        fine = PCharGrid(np.vstack([coarse.points, rng.normal(size=(20, 1))]))
-        assert dhat_p(mu, nu, fine, 3) >= dhat_p(mu, nu, coarse, 3)
-
-
 class TestBump:
     def test_paper_values(self):
-        assert gp(1.5, 2, 1, 3) == pytest.approx(1.0, abs=1e-15)
-        assert gp(5.0, 2, 1, 3) == pytest.approx(0.0, abs=1e-15)
-        assert gp(3.5, 2, 1, 3) == pytest.approx(0.5, abs=1e-15)
+        vals = gp_grid(np.array([1.5, 5.0, 3.5]), 2, 1, 3)
+        assert vals == pytest.approx([1.0, 0.0, 0.5], abs=1e-15)
 
     def test_outer_segments_exactly_constant(self):
         # the alternating binomial identities come out in exact arithmetic
@@ -347,16 +321,17 @@ class TestBump:
             for _ in range(25):
                 a, eps = float(rng.uniform(-3, 3)), float(rng.uniform(0.01, 2))
                 x = float(rng.uniform(a - 1, a + eps * p + 1))
-                s = gp(x, a, eps, p) + gp(2 * a + p * eps - x, a, eps, p)
+                s = gp_grid(np.array([x, 2 * a + p * eps - x]), a, eps, p).sum()
                 assert s == pytest.approx(1.0, abs=1e-11)
 
     def test_grid_matches_scalar_and_exact(self):
+        # the whole grid agrees with one-point grids and with the rational oracle
         rng = rng_from_seed(11)
         xs = rng.uniform(-4, 8, size=64)
         for p in (3, 7):
             vals = gp_grid(xs, 1.0, 0.01, p)
             for x, v in zip(xs, vals):
-                assert v == pytest.approx(gp(float(x), 1.0, 0.01, p), abs=1e-14)
+                assert v == gp_grid(np.array([x]), 1.0, 0.01, p)[0]
                 exact = gp_exact(Fraction(float(x)), Fraction(1), Fraction(1, 100), p)
                 assert v == pytest.approx(float(exact), abs=1e-11)
 
@@ -372,7 +347,12 @@ class TestBump:
 
     def test_even_p_rejected(self):
         with pytest.raises(ValueError):
-            gp(0.0, 0.0, 1.0, 2)
+            gp_grid(np.array([0.0]), 0.0, 1.0, 2)
+
+    def test_nonpositive_width_rejected(self):
+        for eps in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                gp_grid(np.array([0.0]), 0.0, eps, 3)
 
 
 class TestInversion:
@@ -409,67 +389,6 @@ class TestInversion:
         assert v == pytest.approx(mu.cdf(a_used), abs=1e-9)
 
 
-class TestPlateau:
-    def test_p1_system_shape(self):
-        # 7 equations in 9 unknowns leave a nontrivial kernel
-        rep = plateau_function(1.0, 8)
-        assert rep.ok
-        assert np.max(np.abs(rep.coeffs)) > 0
-        assert rep.residual == 0.0  # exact rational branch
-        # integer odd p: the tails cancel identically
-        assert rep.tail_exponent == math.inf
-
-    def test_fractional_p_tail_fit(self):
-        rep = plateau_function(1.5)
-        assert rep.ok and rep.tail_exponent > 1
-        # the limit example at z = 1e-4 is computable directly here
-        z = 1e-4
-        f = sum(rep.coeffs[j] * abs(z + j) ** 1.5 for j in range(len(rep.coeffs)))
-        assert abs(f / z**1.5 - rep.a0) < 1e-3
-
-    def test_zero_limit(self):
-        rep = plateau_function(3.0)
-        # exact branch: evaluate the limit ratio in rationals, where the
-        # direct float sum would lose ~12 digits to cancellation
-        z = Fraction(1, 10_000)
-        coeffs = [Fraction(c).limit_denominator(10**12) for c in rep.coeffs]
-        f = sum(c * abs(z + j) ** 3 for j, c in enumerate(coeffs))
-        assert abs(float(f / z**3) - rep.a0) < 1e-3
-        assert rep.limit_at_zero_err < 1e-6
-
-    def test_even_p_rejected(self):
-        with pytest.raises(ValueError):
-            plateau_function(2.0)
-
-
-class TestFullSupport:
-    def test_full_support_vector(self):
-        sp = DiscreteSpace.uniform(6)
-        u = np.ones(6)
-        val = eps_full_support(u, u[:, None], sp, 2)
-        assert val == pytest.approx(0.0, abs=1e-12)
-
-    def test_indicator_fixed(self):
-        sp = DiscreteSpace.uniform(6)
-        u = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-        ind = 1.0 - np.sign(np.abs(u))
-        basis = np.column_stack([u, ind])
-        val = eps_full_support(u, basis, sp, 2)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_exact_p2_matches_sampling(self):
-        rng = rng_from_seed(14)
-        sp = DiscreteSpace.uniform(10)
-        u = rng.normal(size=10)
-        u[rng.choice(10, size=3, replace=False)] = 0.0
-        basis = np.column_stack([u, rng.normal(size=10)])
-        exact = eps_full_support(u, basis, sp, 2)
-        sampled = eps_full_support(u, basis, sp, Fraction(2, 1), samples=20_000, seed=3)
-        # generic p path is a sampled lower bound of the p = 2 exact value
-        assert sampled <= exact + 1e-9
-        assert sampled >= exact - 5e-3
-
-
 class TestCounterexamples:
     def test_spec_frozen_pair_p2(self):
         mu = measure_1d([(1.0, 0.5), (-1.0, 0.5)])
@@ -490,29 +409,56 @@ class TestCounterexamples:
         assert gap >= 1e-6
         assert levy_prokhorov(*pair).value > 0.1
 
+    def test_even_p_attack_succeeds(self):
+        # the attack is p-agnostic: at even p its pairs are genuine counterexamples
+        for p in (2, 4):
+            gap, _ = odd_p_falsification_search(p, 16, seed=42)
+            assert gap <= 1e-10
+
+    def test_null_vector_exact(self):
+        rng = rng_from_seed(16)
+        kinds = set()
+        for _ in range(300):
+            order = int(rng.integers(0, 6))
+            n = order + 2 + int(rng.integers(0, 4))
+            points = []
+            while len(points) < n:
+                z = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 7)))
+                if z not in points:
+                    points.append(z)
+            kinds |= {(z < 0, z.denominator != 1) for z in points}
+            w = M._rational_null_vector(points, order)
+            assert len(w) == n
+            for j in range(order + 1):
+                assert sum(q * z**j for q, z in zip(w, points)) == 0
+            assert sum(q * z ** (order + 1) for q, z in zip(w, points)) != 0
+            assert all(q != 0 for q in w[:order + 2]) and all(q == 0 for q in w[order + 2:])
+            assert w[order + 1] == 1
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_null_vector_refusals(self):
+        with pytest.raises(ValueError):
+            M._rational_null_vector([Fraction(0), Fraction(1)], 1)
+        with pytest.raises(ValueError):
+            M._rational_null_vector([Fraction(0), Fraction(1), Fraction(1, 1)], 1)
+
 
 def test_continuity_at_desk_scale():
-    """Shrinking atom perturbations drive the multiplicative metric to 1 and
-    the reweighted LP distances to 0, monotonically in the scale."""
+    """Shrinking atom perturbations drive the reweighted LP distances to 0,
+    monotonically in the scale."""
     rng = rng_from_seed(15)
     base = measure_1d([(float(z), float(m)) for z, m in
                        zip(rng.uniform(-2, 2, size=5), rng.uniform(0.1, 1, size=5))])
     direction = rng.normal(size=5)
-    grid = PCharGrid.line(-3, 3, 41)
     for p in (1, 3):
-        prev_dhat, prev_lp = None, {}
+        prev_lp = {}
         for t in (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625):
             pert = DiscreteMeasure(base.points + t * direction[:, None], base.masses)
-            dv = dhat_p(base, pert, grid, p)
-            if prev_dhat is not None:
-                assert dv <= prev_dhat + 1e-9
-            prev_dhat = dv
             for alpha in (0.0, 1.0, float(p)):
                 lp = levy_prokhorov(density(base, alpha), density(pert, alpha)).value
                 if alpha in prev_lp:
                     assert lp <= prev_lp[alpha] + 1e-9
                 prev_lp[alpha] = lp
-        assert prev_dhat < 1.05
         for alpha, v in prev_lp.items():
             scale = 1 + density(base, alpha).total_mass()
             assert v < 0.05 * scale
