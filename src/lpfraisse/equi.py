@@ -244,15 +244,25 @@ class ConcentrationResult:
 
 def _fatten(mask: np.ndarray, n: int, s: int, steps: int) -> np.ndarray:
     """Closed graph fattening on S^n: one step joins all points differing in
-    one coordinate."""
-    shape = (s,) * n
-    f = mask.reshape(shape)
+    one coordinate.
+
+    Points are indexed by their base-s digits, most significant first.  For
+    the coordinate ax the flat mask is viewed as (s**ax, s, rest): the OR of
+    the s slices along the middle axis marks every line through ax that
+    meets the set, and ORing it back by broadcasting fills those lines.
+    """
+    f = mask
     for _ in range(steps):
         g = f.copy()
         for ax in range(n):
-            g = g | np.any(f, axis=ax, keepdims=True)
+            v = f.reshape(s**ax, s, -1)
+            line = v[:, 0].copy()
+            for i in range(1, s):
+                line |= v[:, i]
+            gv = g.reshape(s**ax, s, -1)
+            gv |= line[:, None]
         f = g
-    return f.reshape(-1)
+    return f
 
 
 def _candidate_sets(n: int, s: int, k: int) -> list[np.ndarray]:
@@ -313,6 +323,18 @@ def alpha_profile(n: int, s: int, theta: float, steps: int) -> np.ndarray:
     return 1.0 - covers / N
 
 
+def _comb_at_most(N: int, k: int, budget: int) -> bool:
+    """C(N, k) <= budget, without building C(N, k): the binomials C(N, i)
+    grow up to i = min(k, N - k), so the walk C(N, i + 1) = C(N, i)(N - i)/(i + 1)
+    stops as soon as it passes the budget."""
+    c = 1 if k <= N else 0
+    for i in range(min(k, N - k)):
+        c = c * (N - i) // (i + 1)
+        if c > budget:
+            return False
+    return c <= budget
+
+
 def concentration_exact(n: int, s: int, theta: float, eps: float,
                         subset_budget: int = SUBSET_EXACT_BUDGET) -> ConcentrationResult:
     """alpha(theta, eps) = 1 - inf{mu(A_eps) : mu(A) >= theta} on (S^n, d_H).
@@ -331,7 +353,7 @@ def concentration_exact(n: int, s: int, theta: float, eps: float,
     if N > EXACT_SPACE_CAP:
         return ConcentrationResult(0.0, 1.0 - theta, "trivial")
 
-    if math.comb(N, k) <= subset_budget:
+    if _comb_at_most(N, k, subset_budget):
         reach = []
         for i in range(N):
             m = np.zeros(N, dtype=bool)

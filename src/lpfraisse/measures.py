@@ -479,12 +479,19 @@ def odd_p_falsification_search(p: int, trials: int, seed: int):
     rng = rng_from_seed(seed)
     best_gap = float("inf")
     best_pair = None
+    seen = set()
     for _ in range(trials):
         npts = int(rng.integers(p + 2, p + 6))
         raw = rng.integers(-12, 13, size=npts)
         pts = sorted(set(int(v) for v in raw))
         while len(pts) < p + 2:
             pts = sorted(set(pts) | {int(rng.integers(-15, 16))})
+        # the null vector weights only the first p + 2 nodes, so the pair
+        # depends on them alone; a repeat cannot beat its first occurrence
+        key = tuple(pts[:p + 2])
+        if key in seen:
+            continue
+        seen.add(key)
         points = [Fraction(z) for z in pts]
         mu, nu = _split_null_vector(points, _rational_null_vector(points, p))
         # disjoint integer supports with unit total mass: taking A = supp(mu),

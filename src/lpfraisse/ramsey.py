@@ -275,6 +275,8 @@ def exhaustive_ramsey_check(n: int, d: int, m: int, r: int, eps: float, delta: f
             orbit_masks.append(mask)
     if not orbit_masks:
         raise ValueError("no admissible refinement family")
+    # refinements with one orbit test it once
+    orbit_masks = list(dict.fromkeys(orbit_masks))
 
     # closed Hamming fattening of singletons, as bitmasks over the universe
     arr = np.array(universe, dtype=np.int8)
@@ -311,28 +313,35 @@ def _sweep_general(U, r, ball, orbit_masks, total) -> RamseyCheckResult:
 
 
 def _sweep_two_colors(U, ball, orbit_masks, total) -> RamseyCheckResult:
-    balls = np.array(ball, dtype=np.uint64)
-    chunk = min(1 << 18, total)  # total = 2**U, so chunks tile it exactly
-    # one set of chunk buffers, updated in place: fresh multi-megabyte
-    # temporaries per coordinate cost more than the bit operations on them
-    cs = np.arange(chunk, dtype=np.uint64)
-    f1, f0, tmp = (np.empty(chunk, dtype=np.uint64) for _ in range(3))
-    ok, hit = np.empty(chunk, dtype=bool), np.empty(chunk, dtype=bool)
-    for base in range(0, total, chunk):
-        f1.fill(0)
-        f0.fill(0)
-        for u in range(U):
-            # tmp = ball[u] where coordinate u has color 1, else 0
-            np.right_shift(cs, np.uint64(u), out=tmp)
-            np.bitwise_and(tmp, np.uint64(1), out=tmp)
-            np.multiply(tmp, balls[u], out=tmp)
-            np.bitwise_or(f1, tmp, out=f1)
-            np.bitwise_xor(tmp, balls[u], out=tmp)
-            np.bitwise_or(f0, tmp, out=f0)
+    """Sweep all 2**U two-colorings c, bit u of c the color of point u.
+
+    With lo = U // 2, write c = h * 2**lo + a.  The fattening of color 1 is
+    one_hi[h] | one_lo[a], where each table holds the OR of ball[u] over the
+    set bits of its index, built by doubling: t = concat(t, t | ball[u]).
+    Color 0 takes the same tables at the complemented index, that is
+    reversed.  The tables are stored complemented, so a chunk of rows of h
+    gives the missed points of each class by one broadcast AND.
+    """
+    lo = U // 2
+
+    def missed(coords):
+        t = np.zeros(1, dtype=np.uint64)
+        for u in coords:
+            t = np.concatenate([t, t | np.uint64(ball[u])])
+        return ~t
+
+    miss1_lo, miss1_hi = missed(range(lo)), missed(range(lo, U))
+    miss0_lo, miss0_hi = miss1_lo[::-1], miss1_hi[::-1]
+    # chunks of 2**18 colorings, one set of buffers updated in place: fresh
+    # multi-megabyte temporaries per chunk cost more than the bit operations
+    rows = min(max(1, (1 << 18) >> lo), miss1_hi.size)
+    f1, f0, tmp = (np.empty((rows, miss1_lo.size), dtype=np.uint64) for _ in range(3))
+    ok, hit = (np.empty(f1.shape, dtype=bool) for _ in range(2))
+    for h in range(0, miss1_hi.size, rows):
+        np.bitwise_and(miss1_hi[h:h + rows, None], miss1_lo, out=f1)
+        np.bitwise_and(miss0_hi[h:h + rows, None], miss0_lo, out=f0)
         # orbit masks only hold bits below U, so a class covers the orbit
         # exactly when the complement of its fattening misses the mask
-        np.invert(f1, out=f1)
-        np.invert(f0, out=f0)
         ok.fill(False)
         for om in orbit_masks:
             omv = np.uint64(om)
@@ -341,10 +350,9 @@ def _sweep_two_colors(U, ball, orbit_masks, total) -> RamseyCheckResult:
                 np.equal(tmp, 0, out=hit)
                 ok |= hit
         if not np.all(ok):
-            bad = base + int(np.flatnonzero(~ok)[0])
+            bad = (h << lo) + int(np.flatnonzero(~ok)[0])
             coloring = tuple((bad >> u) & 1 for u in range(U))
             return RamseyCheckResult(True, False, total, coloring)
-        cs += np.uint64(chunk)
     return RamseyCheckResult(True, True, total)
 
 

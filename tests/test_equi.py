@@ -296,6 +296,44 @@ class TestConcentration:
                 cover = min(np.count_nonzero(equi._fatten(m, n, s, t)) for m in cands)
                 assert prof[t] == 1.0 - cover / N
 
+    def test_budget_boundary_picks_the_mode(self):
+        # subset enumeration runs exactly when C(N, k) fits the budget
+        for n, s, th in ((2, 2, 0.5), (3, 2, 0.5), (4, 2, 0.25), (2, 3, 0.3), (2, 4, 0.5)):
+            N = s**n
+            c = math.comb(N, max(1, math.ceil(th * N - 1e-12)))
+            assert concentration_exact(n, s, th, 1 / n, subset_budget=c).mode == "subset-exact"
+            below = concentration_exact(n, s, th, 1 / n, subset_budget=c - 1).mode
+            assert below == ("harper" if s == 2 else "candidates")
+
+    def test_comb_at_most_boundary(self):
+        for N in range(12):
+            for k in range(N + 2):
+                c = math.comb(N, k)
+                for budget in (c - 1, c, c + 1):
+                    assert equi._comb_at_most(N, k, budget) == (c <= budget)
+        # near N = 2^16, with the binomials written out by hand
+        N = 65_536
+        for k, c in ((1, N), (2, N * (N - 1) // 2), (3, N * (N - 1) * (N - 2) // 6)):
+            for kk in (k, N - k):
+                assert equi._comb_at_most(N, kk, c) and not equi._comb_at_most(N, kk, c - 1)
+        assert equi._comb_at_most(N, N, 1) and not equi._comb_at_most(N, N, 0)
+        assert not equi._comb_at_most(N, N // 2, equi.SUBSET_EXACT_BUDGET)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_fatten_matches_hamming_balls(self, n):
+        # every s with s^n <= 729: the points within Hamming distance t of
+        # the seed set, from their digit vectors
+        for s in (s for s in range(2, 730) if s**n <= 729):
+            N = s**n
+            digits = np.array([[(i // s ** (n - 1 - j)) % s for j in range(n)] for i in range(N)])
+            dist = np.count_nonzero(digits[:, None, :] != digits[None, :, :], axis=2)
+            rng = rng_from_seed(1000 * n + s)
+            for density in (0.0, 2 / N, 0.05, 0.3):
+                mask = rng.random(N) < density
+                near = dist[:, mask].min(axis=1, initial=n + 1)
+                for t in range(n + 1):
+                    assert np.array_equal(equi._fatten(mask.copy(), n, s, t), near <= t), (s, density, t)
+
     def test_trivial_bracket_beyond_cap(self):
         import tracemalloc
 

@@ -409,6 +409,14 @@ class TestCounterexamples:
         assert gap >= 1e-6
         assert levy_prokhorov(*pair).value > 0.1
 
+    def test_odd_p_search_pinned(self):
+        # repeated node sets are skipped, and the first best pair is kept
+        for p, trials, gap, mu, nu in ((1, 2000, 0.09090909090909083, [-12.0, -10.0], [-11.0]),
+                                       (3, 300, 0.026397896158287137, [-11.0, -9.0, -3.0], [-10.0, -4.0])):
+            got, pair = odd_p_falsification_search(p, trials, seed=42)
+            assert got == gap
+            assert [m.points.ravel().tolist() for m in pair] == [mu, nu]
+
     def test_even_p_attack_succeeds(self):
         # the attack is p-agnostic: at even p its pairs are genuine counterexamples
         for p in (2, 4):

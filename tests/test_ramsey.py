@@ -109,6 +109,28 @@ class TestExhaustive:
         assert not res.holds
         assert res.counterexample == tuple(int(u == 18) for u in range(20))
 
+    def test_two_color_sweep_matches_general(self):
+        # _sweep_general runs the last point fastest and _sweep_two_colors the
+        # first, so the general sweep gets the points in reverse order; then
+        # both visit the colorings in one order and must stop at the same one
+        def rev(x, U):
+            return sum(((x >> u) & 1) << (U - 1 - u) for u in range(U))
+
+        rng = rng_from_seed(12)
+        verdicts = set()
+        for U in range(1, 15):
+            for density in (0.15, 0.6):
+                ball = [sum(1 << v for v in range(U) if v == u or rng.random() < density) for u in range(U)]
+                masks = [int(x) for x in rng.integers(1, 2**U, size=int(rng.integers(1, 4)))]
+                masks += masks[:1]  # a duplicate is tested like the original
+                got = ramsey._sweep_two_colors(U, ball, masks, 2**U)
+                ref = ramsey._sweep_general(U, 2, [rev(b, U) for b in reversed(ball)],
+                                            [rev(m, U) for m in masks], 2**U)
+                assert (got.decided, got.holds, got.colorings) == (ref.decided, ref.holds, ref.colorings)
+                assert got.counterexample == (None if ref.holds else ref.counterexample[::-1])
+                verdicts.add(got.holds)
+        assert verdicts == {True, False}
+
     def test_small_negative_case(self):
         # with a zero fattening radius and fine colorings the statement fails
         res = exhaustive_ramsey_check(4, 2, 2, 2, 0.0, 0.0)
