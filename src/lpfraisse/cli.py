@@ -255,8 +255,6 @@ def cmd_suite(args) -> tuple[dict, int]:
 GLOBAL_DEFAULTS = {
     "seed": None,  # resolved against the environment at run time
     "format": None,
-    "budget_samples": 64,
-    "budget_colorings": 10**6,
 }
 
 
@@ -265,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for every sampled operation (env LPFRAISSE_SEED)")
     common.add_argument("--format", choices=("json", "csv", "table"), default=argparse.SUPPRESS)
-    common.add_argument("--budget-samples", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--budget-colorings", type=int, default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(prog="lpfraisse", parents=[common],
                                  description="approximate isometric embeddings between l_p spaces, at desk scale")
@@ -278,11 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma")
     sp.add_argument("--eta")
     sp.add_argument("--coupling", choices=("northwest", "product"), default="northwest")
+    sp.add_argument("--budget-samples", type=int, default=64, help="sphere samples of a dense distortion")
 
     gp_ = sub.add_parser("geometry", parents=[common])
     gp_.add_argument("action", choices=("gap", "bm"))
     gp_.add_argument("--x", required=True)
     gp_.add_argument("--y", required=True)
+    gp_.add_argument("--budget-samples", type=int, default=64, help="sphere grid points per side")
 
     mz = sub.add_parser("mazur", parents=[common])
     mz.add_argument("action", choices=("map", "embed", "transfer"))
@@ -343,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--eps", type=float, default=0.5)
     rm.add_argument("--delta", type=float, default=0.0)
     rm.add_argument("--k-budget", type=int, default=6)
+    rm.add_argument("--budget-colorings", type=int, default=10**6,
+                    help="random colorings of 'check' when the full sweep is over budget")
 
     lt = sub.add_parser("lattice", parents=[common])
     lt.add_argument("action", choices=("check", "round"))

@@ -19,6 +19,7 @@ import numpy as np
 SUBSET_EXACT_BUDGET = 300_000
 EXACT_DP_CAP = 2000
 EXACT_SPACE_CAP = 2_000_000
+REPLAY_RTOL = 1e-12
 
 
 class NotSurjectiveError(ValueError):
@@ -49,12 +50,6 @@ class Equisurjection:
         for v in self.values:
             c[v] += 1
         return c
-
-    def compose(self, outer: "Equisurjection") -> "Equisurjection":
-        """outer . self, for self: T -> S and outer: S -> R."""
-        if outer.t_size != self.s_size:
-            raise ValueError("composition size mismatch")
-        return Equisurjection(tuple(outer.values[v] for v in self.values), outer.s_size)
 
 
 def delta_of(F: Equisurjection) -> Fraction:
@@ -184,7 +179,8 @@ def equi_fraction_lower_bound_printed(n: int, s: int, delta: float) -> float:
 def count_fraction_log(n: int, s: int, delta) -> float:
     """Fraction of s^n maps in the delta window, via a vectorized log-space
     multinomial scan (s <= 3).  Agrees with the exact DP to float accuracy;
-    used for long-n sweeps where repeating the big-integer DP is wasteful."""
+    used for long-n sweeps where repeating the big-integer DP is wasteful.
+    Rounding can carry the sum past 1, so the result is clamped at 1."""
     from scipy.special import gammaln, logsumexp
 
     lo, hi = _window(n, s, delta)
@@ -198,7 +194,7 @@ def count_fraction_log(n: int, s: int, delta) -> float:
         if not np.any(valid):
             return 0.0
         terms = lg - gammaln(ks[valid] + 1) - gammaln(n - ks[valid] + 1)
-        return float(math.exp(logsumexp(terms) - n * math.log(2)))
+        return min(1.0, math.exp(logsumexp(terms) - n * math.log(2)))
     if s == 3:
         k0 = ks[:, None]
         k1 = ks[None, :]
@@ -207,7 +203,7 @@ def count_fraction_log(n: int, s: int, delta) -> float:
         if not np.any(valid):
             return 0.0
         terms = lg - gammaln(k0 + 1) - gammaln(k1 + 1) - gammaln(np.where(valid, k2, 0) + 1)
-        return float(math.exp(logsumexp(terms[valid]) - n * math.log(3)))
+        return min(1.0, math.exp(logsumexp(terms[valid]) - n * math.log(3)))
     raise ValueError("vectorized scan covers s in {2, 3}; use count_equi otherwise")
 
 
@@ -310,16 +306,20 @@ def alpha_profile(n: int, s: int, theta: float, steps: int) -> np.ndarray:
     A lower bound for alpha(theta, t/n) on (S^n, d_H); for s = 2 it is exact,
     since fattenings of simplicial initial segments are again initial
     segments and those are optimal (Harper).  Every candidate is fattened
-    one step at a time, so the whole profile costs one pass.
+    one step at a time, so the whole profile costs one pass, and a candidate
+    that covers S^n stops there: every later radius reads N.
     """
     N = s**n
     k = max(1, math.ceil(theta * N - 1e-12))
     covers = np.full(steps + 1, N, dtype=np.int64)
     for cur in _candidate_sets(n, s, k):
-        covers[0] = min(covers[0], np.count_nonzero(cur))
-        for t in range(1, steps + 1):
-            cur = _fatten(cur, n, s, 1)
-            covers[t] = min(covers[t], np.count_nonzero(cur))
+        for t in range(steps + 1):
+            if t:
+                cur = _fatten(cur, n, s, 1)
+            c = np.count_nonzero(cur)
+            if c == N:
+                break
+            covers[t] = min(covers[t], c)
     return 1.0 - covers / N
 
 
@@ -564,8 +564,9 @@ def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float,
     return hi, cert
 
 
-def replay(cert: Certificate, atol: float = 1e-12) -> bool:
-    """Re-derive the whole chain from the header and re-evaluate every line."""
+def replay(cert: Certificate) -> bool:
+    """Re-derive the whole chain from the header and re-evaluate every line;
+    each re-derived value must match to REPLAY_RTOL relative (absolute below 1)."""
     p = cert.payload
     if p.get("kind") != "equi-ramsey":
         raise ValueError("unknown certificate kind")
@@ -578,7 +579,7 @@ def replay(cert: Certificate, atol: float = 1e-12) -> bool:
         for x, y in ((a.lhs, b.lhs), (a.rhs, b.rhs)):
             if x == -math.inf and y == -math.inf:
                 continue
-            if abs(x - y) > atol * max(1.0, abs(x), abs(y)):
+            if abs(x - y) > REPLAY_RTOL * max(1.0, abs(x), abs(y)):
                 return False
         if not b.holds():
             return False

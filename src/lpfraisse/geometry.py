@@ -62,9 +62,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def vector(self, coeffs: np.ndarray) -> VectorP:
-        return VectorP(self.basis @ np.asarray(coeffs, dtype=float), self.ambient_p)
-
     def _normalize(self, pts: np.ndarray) -> np.ndarray:
         norms = norm_p(pts, self.ambient_p, axis=1)
         norms[norms == 0] = 1.0
@@ -94,13 +91,6 @@ class Subspace:
             cs = rng_from_seed(10_007).standard_normal((count, k))
             cs /= np.linalg.norm(cs, axis=1)[:, None]
         return self._normalize(cs @ self.basis.T)
-
-    def to_json(self):
-        return {
-            "ambient_n": self.ambient_n,
-            "ambient_p": self.ambient_p.to_json(),
-            "basis": [list(map(float, self.basis[:, j])) for j in range(self.dim)],
-        }
 
     @classmethod
     def from_json(cls, obj) -> "Subspace":

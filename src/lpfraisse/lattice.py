@@ -36,24 +36,10 @@ class MSpaceMap:
     def domain_dim(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def sup_operator_norm(matrix: np.ndarray) -> float:
     """Exact sup-to-sup norm: max over sign patterns equals max |row| sum."""
     return float(np.max(np.sum(np.abs(matrix), axis=1)))
-
-
-def sup_operator_norm_sign_patterns(matrix: np.ndarray) -> float:
-    """Oracle form: brute maximum over the 2^m sign patterns (small m only)."""
-    m = matrix.shape[1]
-    best = 0.0
-    for bits in range(1 << m):
-        x = np.array([1.0 if bits >> j & 1 else -1.0 for j in range(m)])
-        best = max(best, float(np.max(np.abs(matrix @ x))))
-    return best
 
 
 @dataclass(frozen=True)
@@ -62,9 +48,6 @@ class PredicateReport:
     positive: bool
     isometric: bool
     delta: float
-
-    def all_pass(self) -> bool:
-        return self.disjoint and self.positive and self.isometric
 
 
 def predicates(gamma: MSpaceMap, delta: float) -> PredicateReport:

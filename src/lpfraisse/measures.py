@@ -1,5 +1,5 @@
-"""Discrete measures on R^k: pushforwards, p-characteristic transforms with
-inversion, Levy-Prokhorov distances, and moment-matched pairs of measures.
+"""Discrete measures on R^k: p-characteristic transforms with inversion,
+Levy-Prokhorov distances, and moment-matched pairs of measures.
 
 Exactness conventions: masses convert losslessly to rationals, fattenings are
 closed, and the one-dimensional bump used for CDF inversion is evaluated from
@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class DiscreteSpace:
         masses = np.array([float(m) for _, m in atoms])
         masses.setflags(write=False)
         object.__setattr__(self, "_masses", masses)
-
-    @classmethod
-    def uniform(cls, n: int) -> "DiscreteSpace":
-        return cls(tuple((i, Fraction(1, n)) for i in range(n)))
 
     @property
     def masses(self) -> np.ndarray:
@@ -86,9 +82,6 @@ class DiscreteMeasure:
     def size(self) -> int:
         return self.points.shape[0]
 
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
     def cdf(self, a: float) -> float:
         """One-dimensional distribution function mu((-inf, a]]."""
         if self.dim != 1:
@@ -107,10 +100,6 @@ class DiscreteMeasure:
         ms = np.array([a["m"] for a in obj["atoms"]], dtype=float)
         return cls(pts, ms)
 
-    @classmethod
-    def point(cls, z, mass=1.0) -> "DiscreteMeasure":
-        return cls(np.atleast_2d(np.asarray(z, dtype=float)), np.array([mass], dtype=float))
-
 
 @dataclass(frozen=True)
 class PCharGrid:
@@ -125,31 +114,6 @@ class PCharGrid:
     @classmethod
     def line(cls, lo: float, hi: float, count: int) -> "PCharGrid":
         return cls(np.linspace(lo, hi, count)[:, None])
-
-
-def pushforward(space: DiscreteSpace, functions: Sequence[Callable]) -> DiscreteMeasure:
-    """Image measure of the space under (f_1, ..., f_k); equal points merge."""
-    merged: dict[tuple, Fraction] = {}
-    for lab, mass in space.atoms:
-        z = tuple(float(f(lab)) for f in functions)
-        merged[z] = merged.get(z, Fraction(0)) + mass
-    pts = np.array(list(merged.keys()), dtype=float)
-    ms = np.array([float(v) for v in merged.values()])
-    return DiscreteMeasure(pts, ms)
-
-
-def density(mu: DiscreteMeasure, alpha: float, j: int | None = None) -> DiscreteMeasure:
-    """Reweight by |z_j|^alpha (Euclidean |z|^alpha when j is None); zero-weight atoms drop."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if alpha == 0:
-        return mu
-    base = np.abs(mu.points[:, j]) if j is not None else np.linalg.norm(mu.points, axis=1)
-    w = base**alpha
-    keep = w > 0
-    if not np.any(keep):
-        raise ValueError("density vanishes on every atom")
-    return DiscreteMeasure(mu.points[keep], mu.masses[keep] * w[keep])
 
 
 def p_characteristic(mu: DiscreteMeasure, a, p) -> float:
@@ -169,10 +133,6 @@ def p_characteristic_grid(mu: DiscreteMeasure, grid: PCharGrid, p) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Levy-Prokhorov distance, exact by max flow
 # ---------------------------------------------------------------------------
-
-
-def _exact_sq_dist(z1, z2) -> Fraction:
-    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(z1, z2))
 
 
 def _augment(res: list[list[int]], adj: list[list[int]], s: int, t: int) -> tuple[int, list[int]]:
@@ -330,17 +290,6 @@ def gp_grid(xs: np.ndarray, a: float, eps: float, p: int) -> np.ndarray:
     return out
 
 
-def gp_exact(x: Fraction, a: Fraction, eps: Fraction, p: int) -> Fraction:
-    """Rational evaluation of the bump, for oracle checks."""
-    segs = _gp_segment_coeffs(p)
-    tau = (Fraction(x) - Fraction(a)) / Fraction(eps)
-    i = max(-1, min(p, math.floor(tau)))
-    acc = Fraction(0)
-    for c in reversed(segs[i + 1]):
-        acc = acc * tau + c
-    return acc
-
-
 _JITTER = 1e-9
 
 
@@ -430,7 +379,14 @@ class CounterexampleReport:
     lp_distance: float
 
 
-def even_p_counterexample(p: int, grid_count: int = 1000, grid_radius: float = 5.0) -> CounterexampleReport:
+# even_p_counterexample compares the two characteristics at CHAR_GRID_COUNT
+# evenly spaced points of [-CHAR_GRID_RADIUS, CHAR_GRID_RADIUS]
+CHAR_GRID_RADIUS = 5.0
+CHAR_GRID_COUNT = 1000
+KINK_BACKGROUND_POINTS = 64  # background points of _kink_adapted_grid
+
+
+def even_p_counterexample(p: int) -> CounterexampleReport:
     """Distinct measures on R with identical p-characteristics (p even).
 
     For even p the transform is a polynomial in the moments of order <= p, so
@@ -442,13 +398,13 @@ def even_p_counterexample(p: int, grid_count: int = 1000, grid_radius: float = 5
     half = p // 2 + 1
     points = [Fraction(i) for i in range(-half, half + 1)]
     mu, nu = _split_null_vector(points, _rational_null_vector(points, p))
-    grid = PCharGrid.line(-grid_radius, grid_radius, grid_count)
+    grid = PCharGrid.line(-CHAR_GRID_RADIUS, CHAR_GRID_RADIUS, CHAR_GRID_COUNT)
     gap = float(np.max(np.abs(p_characteristic_grid(mu, grid, p) - p_characteristic_grid(nu, grid, p))))
     lp = levy_prokhorov(mu, nu).value
     return CounterexampleReport(mu, nu, gap, lp)
 
 
-def _kink_adapted_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, base: int = 64) -> PCharGrid:
+def _kink_adapted_grid(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PCharGrid:
     """Evaluation points that localize characteristic differences: the map
     a -> |1 + a z| has its only nonsmooth point at a = -1/z, so two measures
     with different atoms must disagree near some kink; we take all kinks,
@@ -462,7 +418,7 @@ def _kink_adapted_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, base: int = 64)
         pts.append(kinks[:-1] + 0.75 * np.diff(kinks))
     lo = kinks[0] - 1 if len(kinks) else -4.0
     hi = kinks[-1] + 1 if len(kinks) else 4.0
-    pts.append(np.linspace(lo, hi, base))
+    pts.append(np.linspace(lo, hi, KINK_BACKGROUND_POINTS))
     return PCharGrid(np.concatenate(pts)[:, None])
 
 

@@ -49,10 +49,6 @@ class BoxPartition:
             cells.setdefault(key, []).append(a)
         return {k: tuple(v) for k, v in cells.items()}
 
-    def max_bounded_width(self, axis: int) -> float:
-        bp = self.breakpoints[axis]
-        return float(np.max(np.diff(bp)))
-
     def to_json(self):
         return {
             "dim": self.dim,
@@ -70,12 +66,6 @@ class PullbackPartition:
     def positive_keys(self) -> list[tuple[int, ...]]:
         return sorted(self.cells.keys())
 
-    def bounded_keys(self, axis: int) -> list[tuple[int, ...]]:
-        return [k for k in self.positive_keys if k[axis] != TAIL]
-
-    def unbounded_keys(self, axis: int) -> list[tuple[int, ...]]:
-        return [k for k in self.positive_keys if k[axis] == TAIL]
-
 
 def _snap_off(value: float, taken: set[float]) -> float:
     step = max(abs(value), 1.0) * 2.0 ** -40
@@ -88,14 +78,6 @@ def tail_weight(values: np.ndarray, masses: np.ndarray, K: float, p: float) -> f
     """max_j sum of |f_j|^p mass over atoms with |f_j| >= K."""
     sel = np.abs(values) >= K
     return float(np.max(np.sum(np.where(sel, np.abs(values) ** p * masses[None, :], 0.0), axis=1)))
-
-
-def is_appropriate_for(part: BoxPartition, values: np.ndarray, space: DiscreteSpace, p) -> bool:
-    """Does the partition satisfy the tail condition for these functions?
-    (Box widths are partition-intrinsic and do not depend on the functions.)"""
-    pf = float(PIndex.of(p))
-    eps = part.epsilon
-    return tail_weight(np.atleast_2d(values), space.masses, part.K, pf) < eps**pf / 3
 
 
 def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
@@ -180,10 +162,6 @@ class Envelope:
     @property
     def num_cells(self) -> int:
         return len(self.cell_keys)
-
-    def envelope_norm(self, cell_coeffs: np.ndarray) -> float:
-        """Weighted p-norm on cell coordinates; isometric to l_p^m."""
-        return DiscreteSpace(tuple(zip(self.cell_keys, self.weights))).norm(cell_coeffs, self.p)
 
 
 def _weighted_subspace(basis_vals: np.ndarray, space: DiscreteSpace, p: PIndex) -> tuple[Subspace, np.ndarray]:

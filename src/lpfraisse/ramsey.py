@@ -1,6 +1,6 @@
 """Spread vectors and their DP approximation, tiny-scale exhaustive Ramsey
-checks with randomized falsification, the equipartition/unital-embedding
-correspondence, rigid surjections, and the l_inf/l_1 quotient duality.
+checks with randomized falsification, rigid surjections, and the l_inf/l_1
+quotient duality.
 """
 
 from __future__ import annotations
@@ -18,33 +18,6 @@ from lpfraisse.equi import Certificate, canonical_exact, _window
 from lpfraisse.spaces import ColumnEntry, LampertiEmbedding
 
 EXHAUSTIVE_BUDGET = 2**24
-
-
-@dataclass(frozen=True)
-class RamseyInstance:
-    """Parameters of one coloring statement, with an optional certified witness."""
-
-    p: PIndex
-    d: int
-    m: int
-    r: int
-    eps: float
-    delta: float = 0.0
-    witness_n: int | None = None
-    certificate: Certificate | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", PIndex.of(self.p))
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.m % self.d != 0:
-            raise ValueError("need d | m")
-
-    def certify(self) -> "RamseyInstance":
-        from lpfraisse.equi import sufficient_n_certificate
-
-        n, cert = sufficient_n_certificate(self.d, self.m, self.r, self.eps, self.delta)
-        return RamseyInstance(self.p, self.d, self.m, self.r, self.eps, self.delta, n, cert)
 
 
 @dataclass(frozen=True)
@@ -471,59 +444,13 @@ def falsify_certificate(cert: Certificate, colorings: int = 10**6, seed: int = 0
 
 
 # ---------------------------------------------------------------------------
-# equipartitions, rigid surjections, duality
+# rigid surjections, duality
 # ---------------------------------------------------------------------------
 
 
-def unital_from_equipartition(parts) -> LampertiEmbedding:
-    """The unital isometric l_1 embedding u_j -> (d/n) sum_{k in s_j} u_k."""
-    parts = [sorted(int(k) for k in s) for s in parts]
-    d = len(parts)
-    sizes = {len(s) for s in parts}
-    if len(sizes) != 1:
-        raise ValueError("parts must have equal sizes")
-    n = d * sizes.pop()
-    if sorted(k for s in parts for k in s) != list(range(n)):
-        raise ValueError("parts must partition range(n)")
-    w = Fraction(d, n)
-    cols = tuple(tuple(ColumnEntry(k, 1, w) for k in s) for s in parts)
-    return LampertiEmbedding(d, n, PIndex.of(1), cols)
-
-
-def is_unital(gamma: LampertiEmbedding) -> bool:
-    """Does gamma send (1/d) sum u_j to (1/n) sum u_k, exactly?"""
-    if gamma.p != PIndex.of(1):
-        raise ValueError("unitality is an l_1 notion here")
-    image: dict[int, Fraction] = {}
-    for j in range(gamma.d):
-        for e in gamma.columns[j]:
-            image[e.k] = image.get(e.k, Fraction(0)) + Fraction(e.sign) * e.wpow / gamma.d
-    return all(image.get(k, Fraction(0)) == Fraction(1, gamma.n) for k in range(gamma.n))
-
-
-def rigid_enumerate(n: int, R: int) -> list[tuple[int, ...]]:
-    """All rigid surjections n -> R (first occurrences in increasing order)."""
-    if n < R:
-        return []
-    out = []
-
-    def rec(prefix, used):
-        if len(prefix) == n:
-            if used == R:
-                out.append(tuple(prefix))
-            return
-        if used + (n - len(prefix)) < R:
-            return
-        for v in range(min(used + 1, R)):
-            prefix.append(v)
-            rec(prefix, used + (1 if v == used else 0))
-            prefix.pop()
-
-    rec([0], 1) if n >= 1 else None
-    return out
-
-
 def is_rigid(values) -> bool:
+    """Is values a rigid surjection onto range(k), k its number of distinct
+    values: do the first occurrences of 0, 1, ..., k - 1 come in that order?"""
     firsts = {}
     for i, v in enumerate(values):
         firsts.setdefault(v, i)
@@ -710,15 +637,10 @@ def dual_ramsey_demo(d: int, m: int, e: int, seed: int = 0) -> DualRamseyDemo:
         c_sign = 1 if b >= 0 else -1
         h[li] = (lp, c_sign, i) if lp > 0 else (0, 1, 0)
 
-    # rigidity of h with respect to the level-graded orders
+    # rigidity of h with respect to the level-graded orders, onto all of Delta
     delta_order = {dl: i for i, dl in enumerate(delta_letters)}
-    firsts = {}
-    for li in range(L):
-        v = delta_order[h[li]]
-        firsts.setdefault(v, li)
-    hit = sorted(firsts)
-    h_rigid = hit == list(range(len(hit))) and all(
-        firsts[a] < firsts[b] for a, b in zip(hit, hit[1:])) and len(hit) == len(delta_letters)
+    h_vals = [delta_order[h[li]] for li in range(L)]
+    h_rigid = is_rigid(h_vals) and len(set(h_vals)) == len(delta_letters)
 
     HG = np.array([phi_letter(h[g_vals[j]]) for j in range(n)]).T  # (d, n)
     err = float(np.max(np.sum(np.abs(T @ S - HG), axis=0)))  # l_1 -> l_1 operator norm

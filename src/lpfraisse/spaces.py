@@ -26,6 +26,7 @@ from lpfraisse.core import (
 )
 
 DEFAULT_SPHERE_SAMPLES = 100_000
+MAX_SPLIT = 3  # largest support of one column in random_isometric_lamperti
 
 
 class NotInjectiveError(ValueError):
@@ -70,22 +71,6 @@ class LinearMap:
     @property
     def domain_dim(self) -> int:
         return self.matrix.shape[1]
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, x: VectorP) -> VectorP:
-        if len(x) != self.domain_dim:
-            raise ShapeMismatchError(f"expected dim {self.domain_dim}, got {len(x)}")
-        return VectorP(self.matrix @ x.entries, self.codomain_p)
-
-    def to_json(self):
-        return {
-            "matrix": [list(map(float, row)) for row in self.matrix],
-            "domain_p": self.domain_p.to_json(),
-            "codomain_p": self.codomain_p.to_json(),
-        }
 
     @classmethod
     def from_json(cls, obj) -> "LinearMap":
@@ -135,15 +120,6 @@ class LampertiEmbedding:
                     raise ValueError(f"coordinate {e.k} used by two columns")
                 seen.add(e.k)
 
-    @classmethod
-    def build(cls, d, n, p, cols: Sequence[Sequence[tuple]]) -> "LampertiEmbedding":
-        p = PIndex.of(p)
-        return cls(d, n, p, tuple(tuple(ColumnEntry(k, s, Fraction(w)) for (k, s, w) in es) for es in cols))
-
-    @classmethod
-    def identity(cls, n: int, p) -> "LampertiEmbedding":
-        return cls.build(n, n, p, [[(j, 1, 1)] for j in range(n)])
-
     def column_weight_pow(self, j: int) -> Fraction:
         """Exact column p-th-power weight (max |coeff| at p = infinity)."""
         if self.p.is_inf:
@@ -171,9 +147,6 @@ class LampertiEmbedding:
             for e in es:
                 m[e.k, j] = self.coefficient(e)
         return LinearMap(m, self.p, self.p)
-
-    def apply(self, x: VectorP) -> VectorP:
-        return self.to_linear_map().apply(x)
 
     def support(self, j: int) -> frozenset[int]:
         return frozenset(e.k for e in self.columns[j])
@@ -418,9 +391,9 @@ def amalgamate(gamma: LampertiEmbedding, eta: LampertiEmbedding, coupling: str =
     return big_n, i, j
 
 
-def random_isometric_lamperti(rng: np.random.Generator, d: int, n: int, p,
-                              max_split: int = 3) -> LampertiEmbedding:
-    """Random isometric structured embedding: disjoint supports, rational weights."""
+def random_isometric_lamperti(rng: np.random.Generator, d: int, n: int, p) -> LampertiEmbedding:
+    """Random isometric structured embedding: disjoint supports of at most
+    MAX_SPLIT coordinates each, rational weights."""
     p = PIndex.of(p)
     if n < d:
         raise ValueError("need n >= d")
@@ -429,7 +402,7 @@ def random_isometric_lamperti(rng: np.random.Generator, d: int, n: int, p,
     spare = n - d
     for _ in range(spare):
         j = int(rng.integers(d))
-        if counts[j] < max_split:
+        if counts[j] < MAX_SPLIT:
             counts[j] += 1
     pos = 0
     cols = []

@@ -144,7 +144,7 @@ def check_even_odd_uniqueness(seed=0, fast=False) -> CheckResult:
     ok = True
     details = {}
     for p in (2, 4):
-        rep = measures.even_p_counterexample(p, grid_count=1000)
+        rep = measures.even_p_counterexample(p)
         details[f"even{p}_char_gap"] = rep.char_gap
         details[f"even{p}_lp"] = rep.lp_distance
         gap, _ = measures.odd_p_falsification_search(p, 16, seed + p)

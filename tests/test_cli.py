@@ -63,8 +63,22 @@ def test_geometry_gap_csv(tmp_path):
     y.write_text(json.dumps({"ambient_n": 2, "ambient_p": 1, "basis": [[0.0, 1.0]]}))
     r = run_cli("geometry", "gap", "--x", str(x), "--y", str(y), "--budget-samples", "12")
     assert r.returncode == 0
-    header, row = r.stdout.strip().splitlines()
-    assert "lower" in header and "seed" in header
+    assert r.stdout == "certified,lower,samples,seed,upper\nFalse,1.0,12,0,1.0\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["equi", "count", "--budget-samples", "5"],
+    ["--budget-samples", "5", "geometry", "gap", "--x", "x.json", "--y", "y.json"],
+    ["measures", "counterexample", "--budget-colorings", "5"],
+])
+def test_budget_flags_only_where_read(argv, capsys):
+    # --budget-samples belongs to spaces and geometry, --budget-colorings to ramsey
+    from lpfraisse import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "lpfraisse: error:" in capsys.readouterr().err
 
 
 def test_certify_and_replay(tmp_path):

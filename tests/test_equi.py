@@ -18,6 +18,12 @@ from lpfraisse.equi import (
 )
 
 
+def compose(inner: Equisurjection, outer: Equisurjection) -> Equisurjection:
+    """outer . inner, for inner: T -> S and outer: S -> R."""
+    assert outer.t_size == inner.s_size
+    return Equisurjection(tuple(outer.values[v] for v in inner.values), outer.s_size)
+
+
 class TestDelta:
     def test_balanced(self):
         assert delta_of(Equisurjection((0, 0, 1, 1), 2)) == 0
@@ -37,7 +43,7 @@ class TestDelta:
                 G = Equisurjection(tuple(int(v) for v in Gv), r)
             except NotSurjectiveError:
                 continue
-            comp = F.compose(G)
+            comp = compose(F, G)
             d0, d1, dc = delta_of(G), delta_of(F), delta_of(comp)
             assert (1 - dc) <= (1 - d0) * (1 - d1) + 1e-15 or dc <= d0 + d1 + d0 * d1
             assert 1 + dc <= (1 + d0) * (1 + d1) + 1e-15
@@ -115,9 +121,9 @@ class TestMatching:
             phi0, phi1 = surj(t, s), surj(t, s)
             psi0, psi1 = surj(s, r), surj(s, r)
             d0 = delta_of(phi0)
-            lhs = hamming(phi0.compose(psi0), phi0.compose(psi1))
+            lhs = hamming(compose(phi0, psi0), compose(phi0, psi1))
             assert lhs <= (1 + d0) * hamming(psi0, psi1)
-            assert hamming(phi0.compose(psi0), phi1.compose(psi0)) <= hamming(phi0, phi1)
+            assert hamming(compose(phi0, psi0), compose(phi1, psi0)) <= hamming(phi0, phi1)
 
 
 class TestRounding:
@@ -176,6 +182,17 @@ class TestCounting:
             for n in (10, 50, 333):
                 _, f = count_equi(n, s, 0.25)
                 assert count_fraction_log(n, s, 0.25) == pytest.approx(f, rel=1e-9)
+
+    def test_log_scan_is_a_fraction(self):
+        # the window-counting check's sweep, where rounding carried 175 values
+        # past 1, such as count_fraction_log(1000, 2, 0.3) = 1.0000000000005684
+        for s in (2, 3):
+            for delta in (0.1, 0.3):
+                for n in range(1, 1001):
+                    f = count_fraction_log(n, s, delta)
+                    assert f <= 1, (n, s, delta)
+                    if s == 2 or n % 10 == 0:
+                        assert f == pytest.approx(count_equi(n, s, delta)[1], rel=1e-9), (n, s, delta)
 
     def test_monotone_in_delta(self):
         for n in (9, 100):
@@ -288,11 +305,14 @@ class TestConcentration:
                           0.0693661196633305, 0.0086707649579163, 0.00018628596589276292]
 
     def test_profile_matches_fattening_from_scratch(self):
-        for (n, s, th) in ((9, 2, 0.3), (6, 3, 0.5), (5, 4, 0.75)):
+        # the last case runs past the diameter n, so every candidate covers
+        # S^n before the last radius
+        for (n, s, th, steps) in ((9, 2, 0.3, 8), (6, 3, 0.5, 5), (5, 4, 0.75, 4), (4, 3, 0.6, 6)):
             N = s**n
             cands = equi._candidate_sets(n, s, max(1, math.ceil(th * N - 1e-12)))
-            prof = equi.alpha_profile(n, s, th, n - 1)
-            for t in range(n):
+            prof = equi.alpha_profile(n, s, th, steps)
+            assert len(prof) == steps + 1
+            for t in range(steps + 1):
                 cover = min(np.count_nonzero(equi._fatten(m, n, s, t)) for m in cands)
                 assert prof[t] == 1.0 - cover / N
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lpfraisse.core import PIndex, rng_from_seed
 from lpfraisse import mazur
 from lpfraisse.mazur import MazurParams, mazur_embedding, mazur_map, transfer_instance
-from lpfraisse.spaces import LampertiEmbedding, VectorP, random_isometric_lamperti
+from lpfraisse.spaces import ColumnEntry, LampertiEmbedding, VectorP, random_isometric_lamperti
 from lpfraisse import ramsey, equi
 
 
@@ -50,13 +50,14 @@ class TestMazurMap:
 
 class TestMazurEmbedding:
     def test_identity_embedding(self):
-        g = LampertiEmbedding.identity(3, 1)
+        g = LampertiEmbedding(3, 3, PIndex.of(1), tuple((ColumnEntry(j, 1, 1),) for j in range(3)))
         out = mazur_embedding(g, MazurParams(1, 2))
         assert out.p == PIndex.of(2)
         assert out.signature() == g.signature()
 
     def test_weight_pow_invariance(self):
-        g = LampertiEmbedding.build(1, 2, 1, [[(0, 1, Fraction(1, 2)), (1, 1, Fraction(1, 2))]])
+        half = Fraction(1, 2)
+        g = LampertiEmbedding(1, 2, PIndex.of(1), ((ColumnEntry(0, 1, half), ColumnEntry(1, 1, half)),))
         out = mazur_embedding(g, MazurParams(1, 2))
         assert [e.wpow for e in out.columns[0]] == [Fraction(1, 2), Fraction(1, 2)]
         assert out.is_isometric()
@@ -90,7 +91,7 @@ class TestMazurEmbedding:
             assert dist_q <= mazur.continuity_modulus(params, dist_p) + 1e-6
 
     def test_rejects_non_isometric(self):
-        bad = LampertiEmbedding.build(1, 1, 1, [[(0, 1, Fraction(1, 2))]])
+        bad = LampertiEmbedding(1, 1, PIndex.of(1), ((ColumnEntry(0, 1, Fraction(1, 2)),),))
         with pytest.raises(ValueError):
             mazur_embedding(bad, MazurParams(1, 2))
 
@@ -146,6 +147,14 @@ class TestTransfer:
         assert lhs == pytest.approx(mazur.continuity_modulus(params, dist), rel=1e-12)
 
 
+def unital_from_equipartition(parts) -> LampertiEmbedding:
+    """The unital isometric l_1 embedding u_j -> (d/n) sum_{k in s_j} u_k of
+    an equipartition s_1, ..., s_d of range(n)."""
+    d, n = len(parts), sum(len(s) for s in parts)
+    cols = tuple(tuple(ColumnEntry(k, 1, Fraction(d, n)) for k in sorted(s)) for s in parts)
+    return LampertiEmbedding(d, n, PIndex.of(1), cols)
+
+
 def test_monochromatic_family_transports():
     """End-to-end replay on a tiny instance: an exhaustively certified
     equipartition family stays close after transport, with the transported
@@ -155,7 +164,7 @@ def test_monochromatic_family_transports():
     p, q = 1, 3
     params = MazurParams(p, q)
     fam = [equi.Equisurjection(v, 2) for v in ramsey.enumerate_equi(6, 2, 0.0)]
-    embeddings = {F: ramsey.unital_from_equipartition(
+    embeddings = {F: unital_from_equipartition(
         [[i for i, v in enumerate(F.values) if v == j] for j in range(2)]) for F in fam}
     for F in fam[:6]:
         for G in fam[:6]:

@@ -6,12 +6,12 @@ from lpfraisse.core import PIndex, rng_from_seed
 from lpfraisse.measures import DiscreteSpace, levy_prokhorov, DiscreteMeasure
 from lpfraisse.partitions import (
     TAIL, CellMismatchError, build_appropriate, conditional_expectation, envelope,
-    is_appropriate_for, transfer_isometry,
+    tail_weight, transfer_isometry,
 )
 
 
 def uniform_space(n):
-    return DiscreteSpace.uniform(n)
+    return DiscreteSpace(tuple((i, Fraction(1, n)) for i in range(n)))
 
 
 class TestBuildAppropriate:
@@ -21,7 +21,7 @@ class TestBuildAppropriate:
         sp = uniform_space(16)
         vals = rng.uniform(0, 1, size=(1, 16))
         part, pb = build_appropriate(vals, sp, 0.3, 1)
-        assert part.max_bounded_width(0) < 0.3 / 3 + 1e-12
+        assert np.max(np.diff(part.breakpoints[0])) < 0.3 / 3 + 1e-12
         # no mass beyond K
         assert all(k[0] != TAIL for k in pb.positive_keys)
 
@@ -41,15 +41,16 @@ class TestBuildAppropriate:
                 assert not np.any(np.isclose(vals[ax], b, rtol=0, atol=0))
 
     def test_stability_under_lp_close_perturbation(self):
-        # a nearby family keeps the tail condition (the admissible nearness
-        # depends on the single-atom tail budget, so keep atoms light)
+        # a nearby family keeps the tail condition, tail weight beyond K below
+        # eps^p / 3 (the admissible nearness depends on the single-atom tail
+        # budget, so keep atoms light)
         rng = rng_from_seed(3)
         sp = uniform_space(32)
         vals = rng.normal(size=(2, 32))
         part, pb = build_appropriate(vals, sp, 0.4, 1)
-        assert is_appropriate_for(part, vals, sp, 1)
+        assert tail_weight(vals, sp.masses, part.K, 1) < 0.4 / 3
         pert = vals + rng.uniform(-1e-4, 1e-4, size=vals.shape)
-        assert is_appropriate_for(part, pert, sp, 1)
+        assert tail_weight(pert, sp.masses, part.K, 1) < 0.4 / 3
         # the pushforwards really are close: check on a small slice exactly
         mu = DiscreteMeasure(vals.T[:8].copy(), sp.masses[:8])
         nu = DiscreteMeasure(pert.T[:8].copy(), sp.masses[:8])
@@ -123,14 +124,14 @@ class TestConditionalExpectation:
         masses = sp.masses
         ef = conditional_expectation(vals[0], pb, sp)
         for axis in (0,):
-            un_keys = set(pb.unbounded_keys(axis))
+            un_keys = [k for k in pb.positive_keys if k[axis] == TAIL]
             atoms_un = [a for k in un_keys for a in pb.cells[k]]
             if atoms_un:
                 lhs = np.sum(np.abs(ef[atoms_un]) ** p * masses[atoms_un])
                 mid = np.sum(np.abs(vals[0][atoms_un]) ** p * masses[atoms_un])
                 assert lhs <= mid + 1e-12
                 assert mid < eps**p / 3 + 1e-12
-            atoms_b = [a for k in pb.bounded_keys(axis) for a in pb.cells[k]]
+            atoms_b = [a for k in pb.positive_keys if k[axis] != TAIL for a in pb.cells[k]]
             err = np.sum(np.abs(ef[atoms_b] - vals[0][atoms_b]) ** p * masses[atoms_b])
             assert err <= eps**p / 3 + 1e-12
 
@@ -167,7 +168,8 @@ class TestEnvelope:
             f = np.zeros(16)
             for ci, key in enumerate(env.cell_keys):
                 f[list(env.pullback.cells[key])] = c[ci]
-            assert env.envelope_norm(c) == pytest.approx(sp.norm(f, env.p), rel=1e-12)
+            cells = DiscreteSpace(tuple(zip(env.cell_keys, env.weights)))
+            assert cells.norm(c, env.p) == pytest.approx(sp.norm(f, env.p), rel=1e-12)
 
 
 class TestTransfer:

@@ -6,14 +6,20 @@ from lpfraisse.core import PIndex, norm_p, rng_from_seed, sphere_points
 from lpfraisse import spaces
 from lpfraisse.spaces import (
     ColumnEntry, DistortionReport, LampertiEmbedding, LinearMap, NotInjectiveError,
-    RankDeficientError, ShapeMismatchError, VectorP, amalgamate, compose, distortion,
+    RankDeficientError, ShapeMismatchError, amalgamate, compose, distortion,
     hilbert_round, northwest_coupling, operator_distance_l2, product_coupling,
     random_isometric_lamperti,
 )
 
 
 def lamperti(d, n, p, cols):
-    return LampertiEmbedding.build(d, n, p, cols)
+    """Structured embedding from per-column (coordinate, sign, weight_pow) triples."""
+    return LampertiEmbedding(d, n, PIndex.of(p),
+                             tuple(tuple(ColumnEntry(k, s, Fraction(w)) for (k, s, w) in es) for es in cols))
+
+
+def identity(n, p):
+    return lamperti(n, n, p, [[(j, 1, 1)] for j in range(n)])
 
 
 class TestDistortion:
@@ -29,7 +35,7 @@ class TestDistortion:
 
     def test_identity_any_p(self):
         for p in (1, 2, 3, None):
-            T = LampertiEmbedding.identity(3, p)
+            T = identity(3, p)
             rep = distortion(T)
             assert rep.certified and rep.lower == rep.upper == 1.0 and rep.delta == 0.0
 
@@ -101,7 +107,7 @@ def distortion_delta_l2(T: LinearMap) -> float:
 class TestAmalgamation:
     def test_identity_example(self):
         g = lamperti(1, 2, 1, [[(0, 1, Fraction(1, 2)), (1, 1, Fraction(1, 2))]])
-        e = LampertiEmbedding.identity(1, 1)
+        e = identity(1, 1)
         N, i, j = amalgamate(g, e)
         assert N == 2
         # i is an identity relabeling, j carries the split weights
@@ -136,11 +142,11 @@ class TestAmalgamation:
     def test_rejects_non_isometric(self):
         bad = lamperti(1, 1, 1, [[(0, 1, Fraction(1, 2))]])
         with pytest.raises(ValueError):
-            amalgamate(bad, LampertiEmbedding.identity(1, 1))
+            amalgamate(bad, identity(1, 1))
 
     def test_rejects_p_mismatch(self):
-        a = LampertiEmbedding.identity(1, 1)
-        b = LampertiEmbedding.identity(1, 2)
+        a = identity(1, 1)
+        b = identity(1, 2)
         with pytest.raises(ValueError):
             amalgamate(a, b)
 
@@ -176,14 +182,14 @@ class TestCouplings:
 
 class TestComposeApply:
     def test_apply_identity(self):
-        x = VectorP([1.0, -2.0], PIndex.of(1))
-        T = LampertiEmbedding.identity(2, 1)
-        assert T.apply(x).entries == pytest.approx(x.entries)
+        x = np.array([1.0, -2.0])
+        T = identity(2, 1)
+        assert T.to_linear_map().matrix @ x == pytest.approx(x)
 
     def test_compose_identity(self):
         rng = rng_from_seed(21)
         T = random_isometric_lamperti(rng, 2, 4, 1)
-        out = compose(LampertiEmbedding.identity(4, 1), T)
+        out = compose(identity(4, 1), T)
         assert out.signature() == T.signature()
 
     def test_compose_disjoint_supports(self):
@@ -210,8 +216,8 @@ class TestComposeApply:
             assert dc <= (1 + d1) * (1 + d2) - 1 + 1e-9
 
     def test_shape_mismatch(self):
-        a = LampertiEmbedding.identity(2, 1)
-        b = LampertiEmbedding.identity(3, 1)
+        a = identity(2, 1)
+        b = identity(3, 1)
         with pytest.raises(ShapeMismatchError):
             compose(a, b)
 
@@ -221,10 +227,11 @@ def test_json_round_trip():
     T = random_isometric_lamperti(rng, 3, 6, Fraction(3, 2))
     again = LampertiEmbedding.from_json(T.to_json())
     assert again.signature() == T.signature()
-    M = LinearMap(rng.standard_normal((3, 2)), PIndex.of(1), PIndex.of(None))
-    again_m = LinearMap.from_json(M.to_json())
-    assert again_m.matrix == pytest.approx(M.matrix)
-    assert again_m.domain_p == M.domain_p and again_m.codomain_p == M.codomain_p
+    # dense maps are only read, in the format of docs/formats.md
+    m = rng.standard_normal((3, 2))
+    again_m = LinearMap.from_json({"matrix": m.tolist(), "domain_p": 1, "codomain_p": "inf"})
+    assert again_m.matrix == pytest.approx(m)
+    assert again_m.domain_p == PIndex.of(1) and again_m.codomain_p == PIndex.of(None)
 
 
 def test_infinity_weight_semantics():
