@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma")
     sp.add_argument("--eta")
     sp.add_argument("--coupling", choices=("northwest", "product"), default="northwest")
-    sp.add_argument("--budget-samples", type=int, default=64, help="sphere samples of a dense distortion")
+    sp.add_argument("--budget-samples", type=int, help="sphere samples of a dense distortion (default 64)")
 
     gp_ = sub.add_parser("geometry", parents=[common])
     gp_.add_argument("action", choices=("gap", "bm"))
@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--eps", type=float, default=0.5)
     rm.add_argument("--delta", type=float, default=0.0)
     rm.add_argument("--k-budget", type=int, default=6)
-    rm.add_argument("--budget-colorings", type=int, default=10**6,
-                    help="random colorings of 'check' when the full sweep is over budget")
+    rm.add_argument("--budget-colorings", type=int,
+                    help="random colorings of 'check' when the full sweep is over budget (default 10^6)")
 
     lt = sub.add_parser("lattice", parents=[common])
     lt.add_argument("action", choices=("check", "round"))
@@ -358,6 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 DEFAULT_FORMATS = {"geometry": "csv", "suite": "table"}
+
+# the one action of a subcommand that reads its budget flag, the flag and its
+# default; the other actions of the subcommand refuse the flag
+BUDGET_READERS = {
+    "spaces": ("distortion", "budget_samples", 64),
+    "ramsey": ("check", "budget_colorings", 10**6),
+}
 
 
 def main(argv=None) -> int:
@@ -381,6 +388,13 @@ def main(argv=None) -> int:
         "lattice": cmd_lattice,
     }
     try:
+        if args.command in BUDGET_READERS:
+            reader, dest, default = BUDGET_READERS[args.command]
+            if args.action == reader:
+                if getattr(args, dest) is None:
+                    setattr(args, dest, default)
+            elif getattr(args, dest) is not None:
+                raise ValueError(f"--{dest.replace('_', '-')} is read only by '{args.command} {reader}'")
         if args.command == "suite":
             report, code = cmd_suite(args)
             _emit(report, fmt)

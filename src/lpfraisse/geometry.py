@@ -1,22 +1,31 @@
 """Gap (opening) metric between subspaces, Auerbach bases, and the
 constructive gap-to-Banach-Mazur bridge.
 
-The gap between unit balls is estimated from seeded sphere samples; lower
-bounds come from certified distance-to-ball solves (closed form for p = 2,
-linear programs for p in {1, inf}), and the reported upper bound adds an
-explicit covering-mesh slack, never a claim of exactness.  All the points
-of one gap direction are measured in one solve: the closed form is batched,
-and the per-point LPs are stacked block-diagonally into one separable LP.
-The covering mesh is the largest distance from a random probe to its
-nearest grid point, found by an exact k-d tree query in the ambient norm
-(Friedman, Bentley and Finkel 1977) without a probe-by-grid matrix.
+The gap between unit balls is estimated from seeded sphere samples.  Its
+lower value is the largest distance from a grid point of one side to the
+unit ball of the other.  At p in {1, 2, inf} every distance is exact (closed
+form for p = 2, linear programs for p in {1, inf}), so the value is a
+certified lower bound.  At other p it is best-effort only: a local SLSQP
+solve returns the norm of a feasible point, an upper estimate of each
+distance.  The reported upper bound adds an explicit covering-mesh slack,
+never a claim of exactness.  All the points of one gap direction are
+measured in one solve: the closed form is batched, and the per-point LPs
+are stacked block-diagonally into one separable LP.  The covering mesh is
+the largest distance from a random probe to its nearest grid point, found
+by an exact k-d tree query in the ambient norm (Friedman, Bentley and
+Finkel 1977) without a probe-by-grid matrix.
+
+Every LP goes through `_linprog`: one HiGHS call per stacked LP, with the
+block-diagonal matrix tiled from one block's CSC arrays, and a check that
+the solution meets its bounds and constraints.
 
 Auerbach bases: at p = 2 the orthonormal factor of a QR factorization.
 Otherwise a max-volume coordinate ascent whose every step is an exact
 dual-norm argmax: at p in {1, inf} the steps of all restarts still improving
 are stacked into one block-diagonal LP; at other finite p each step is a
 Newton solve on the smooth side of the primal-dual pair, stopped by a
-relative primal-dual gap of 1e-12.
+relative primal-dual gap of 1e-12.  The restarts are one stacked array, and
+the cofactors of all of them come from one stacked determinant.
 
 Out of scope: the Kadets-style pseudometric that takes an infimum of the
 gap over all isometric copies of the two subspaces; only direct gaps and a
@@ -98,11 +107,38 @@ class Subspace:
         return cls(obj["ambient_n"], PIndex.from_json(obj["ambient_p"]), basis)
 
 
-def _linprog(c, A_ub, b_ub, bounds):
-    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+# the feasibility tolerance scipy's linprog applies to a HiGHS result
+LP_FEAS_TOL = 10 * np.sqrt(1e-9)
+
+
+def _linprog(obj: np.ndarray, A: np.ndarray, rhs: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """min obj.x over m independent blocks A x_b <= rhs_b, x_b >= lb (free where
+    lb is -inf): the stacked minimizer, m = len(obj) // A.shape[1].
+
+    One HiGHS solve (`scipy.optimize.milp` with no integrality runs HiGHS's LP
+    path) of the block-diagonal CSC matrix, tiled from A's own CSC arrays.
+    The result is checked as scipy's linprog checks it: a solution with no
+    NaN, within 10 sqrt(1e-9) of its bounds and constraints; a solve that is
+    not optimal, or fails the check, raises RuntimeError.
+    """
+    A = scipy.sparse.csc_array(A)
+    rows, nv = A.shape
+    m = len(obj) // nv
+    blocks = np.arange(m)[:, None]
+    indptr = np.concatenate([[0], (A.indptr[1:] + A.nnz * blocks).ravel()])
+    full = scipy.sparse.csc_array((np.tile(A.data, m), (A.indices + rows * blocks).ravel(), indptr),
+                                  shape=(m * rows, m * nv))
+    lbs = np.tile(lb, m)
+    res = scipy.optimize.milp(obj, bounds=scipy.optimize.Bounds(lbs, np.inf),
+                              constraints=scipy.optimize.LinearConstraint(full, -np.inf, rhs))
     if res.status != 0:
         raise RuntimeError(f"LP failed: {res.message}")
-    return res
+    x = res.x
+    if x is None or np.isnan(x).any() or np.any(x < lbs - LP_FEAS_TOL) \
+            or np.any(full @ x > rhs + LP_FEAS_TOL):
+        raise RuntimeError("LP failed: the solution does not satisfy the constraints "
+                           f"within {LP_FEAS_TOL:.3g}")
+    return x
 
 
 def _dists_to_unit_ball(P: np.ndarray, Y: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +170,6 @@ def _dists_to_unit_ball(P: np.ndarray, Y: Subspace) -> tuple[np.ndarray, np.ndar
                            np.hstack([B, nil]), np.hstack([-B, nil])])
             rhs = np.hstack([-P, P, np.ones((m, 2 * n))])
             obj = np.concatenate([np.zeros(k), [1.0]])
-            bounds = [(None, None)] * k + [(0, None)]
         else:
             # vars: c (k, free), s (n, >=0), w (n, >=0); min sum s
             eye, zero = np.eye(n), np.zeros((n, n))
@@ -143,10 +178,8 @@ def _dists_to_unit_ball(P: np.ndarray, Y: Subspace) -> tuple[np.ndarray, np.ndar
                            np.concatenate([np.zeros(k + n), np.ones(n)])[None, :]])
             rhs = np.hstack([-P, P, np.zeros((m, 2 * n)), np.ones((m, 1))])
             obj = np.concatenate([np.zeros(k), np.ones(n), np.zeros(n)])
-            bounds = [(None, None)] * k + [(0, None)] * (2 * n)
-        res = _linprog(np.tile(obj, m), scipy.sparse.kron(scipy.sparse.identity(m), A),
-                       rhs.ravel(), bounds * m)
-        sol = res.x.reshape(m, -1)
+        lb = np.concatenate([np.full(k, -np.inf), np.zeros(A.shape[1] - k)])
+        sol = _linprog(np.tile(obj, m), A, rhs.ravel(), lb).reshape(m, -1)
         d = sol[:, k] if p.is_inf else np.sum(sol[:, k:k + n], axis=1)
         return d, sol[:, :k] @ B.T
 
@@ -207,8 +240,10 @@ def gap_estimate(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0,
                  extra_points: np.ndarray | None = None) -> GapEstimate:
     """Hausdorff distance between unit balls, from sphere samples of each side.
 
-    lower: best certified distance among the grid points of each side, one
-    batched solve per direction (sound lower bound);
+    lower: largest distance among the grid points of each side, one batched
+    solve per direction; a sound lower bound at p in {1, 2, inf}, where each
+    distance is exact, and best-effort elsewhere, where each distance is a
+    local solve's upper estimate;
     upper: lower + 2 * measured covering mesh of the grid, the largest
     distance from 4 * budget random sphere probes to their nearest grid
     point, an exact k-d tree query (honest slack, itself sampled -- see
@@ -230,7 +265,7 @@ def gap_estimate(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0,
     return GapEstimate(lower, lower + 2 * mesh, budget)
 
 
-def _newton_argmax(g: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
+def _newton_argmax(g: np.ndarray, B: np.ndarray, Mi: np.ndarray, p: float) -> np.ndarray:
     """max <g, c> over ||Bc||_p <= 1 at finite p > 1, by Newton's method
     with equality constraints and a backtracking line search (Boyd and
     Vandenberghe, sec. 10.2) on the smooth side of the pair: for p > 2,
@@ -242,11 +277,10 @@ def _newton_argmax(g: np.ndarray, B: np.ndarray, p: float) -> np.ndarray:
     value by ||u||_q, so the relative gap (||u||_q - g.c) / ||u||_q
     certifies it.  Stops when the gap is at most 1e-12, or when a step no
     longer lowers the objective (the float floor, about 1e-9 at p = 20).
+    B has no zero row, and Mi is the inverse of B^T B.
     """
-    B = B[np.any(B != 0, axis=1)]  # zero rows would make the dual KKT system singular
     n = len(B)
     q = p / (p - 1)
-    Mi = np.linalg.inv(B.T @ B)
 
     def primal_and_gap(y):
         if p > 2:
@@ -308,22 +342,23 @@ def _dual_norm_argmax(G: np.ndarray, Y: Subspace) -> np.ndarray:
     """
     B, p = Y.basis, Y.ambient_p
     if not (p.is_inf or float(p) == 1):
-        return np.array([_newton_argmax(g, B, float(p)) for g in G])
+        B = B[np.any(B != 0, axis=1)]  # zero rows would make the dual KKT system singular
+        Mi = np.linalg.inv(B.T @ B)
+        return np.array([_newton_argmax(g, B, Mi, float(p)) for g in G])
     m, k = G.shape
     n = len(B)
     if p.is_inf:
         # vars c; max g.c s.t. Bc <= 1, -Bc <= 1
-        A, b = np.vstack([B, -B]), np.ones(2 * n)
-        obj, bounds = -G, [(None, None)] * k
+        A, b, obj = np.vstack([B, -B]), np.ones(2 * n), -G
     else:
         # vars c, w; max g.c s.t. Bc <= w, -Bc <= w, sum w <= 1
         eye = np.eye(n)
         A = np.vstack([np.hstack([B, -eye]), np.hstack([-B, -eye]),
                        np.concatenate([np.zeros(k), np.ones(n)])[None, :]])
         b = np.concatenate([np.zeros(2 * n), [1.0]])
-        obj, bounds = np.hstack([-G, np.zeros((m, n))]), [(None, None)] * k + [(0, None)] * n
-    res = _linprog(obj.ravel(), scipy.sparse.kron(scipy.sparse.identity(m), A), np.tile(b, m), bounds * m)
-    return res.x.reshape(m, -1)[:, :k]
+        obj = np.hstack([-G, np.zeros((m, n))])
+    lb = np.concatenate([np.full(k, -np.inf), np.zeros(A.shape[1] - k)])
+    return _linprog(obj.ravel(), A, np.tile(b, m), lb).reshape(m, -1)[:, :k]
 
 
 @dataclass(frozen=True)
@@ -355,34 +390,33 @@ def auerbach_basis(X: Subspace, restarts: int = 16, seed: int = 0,
         return AuerbachResult(np.linalg.qr(B)[0], 0.0)
 
     rng = rng_from_seed(seed)
-    Cs = [rng.standard_normal((k, k)) for _ in range(restarts)]
+    Cs = rng.standard_normal((restarts, k, k))
     for C in Cs:
         for j in range(k):
             C[:, j] /= norm_p(B @ C[:, j], p)
-    active = range(restarts)  # a restart leaves after a round with no improvement
+    # rows[i] drops index i: the (i, j) minor of C is C[rows[i]][:, rows[j]]
+    rows = np.array([np.delete(np.arange(k), i) for i in range(k)])
+    signs = (-1.0) ** np.add.outer(np.arange(k), np.arange(k))
+    active = np.arange(restarts)  # a restart leaves after a round with no improvement
     for _ in range(ascent_rounds):
-        improved = set()
+        improved = np.zeros(restarts, dtype=bool)
         for j in range(k):
-            cofs = {}
-            for r in active:
-                minor = np.delete(Cs[r], j, axis=1)
-                cof = np.array([(-1) ** (i + j) * np.linalg.det(np.delete(minor, i, axis=0))
-                                for i in range(k)])
-                if np.any(cof != 0):
-                    cofs[r] = cof
-            if not cofs:
+            # cofactors of column j, one stacked det over the minors of every active restart
+            cofs = signs[:, j] * np.linalg.det(Cs[active][:, rows[:, :, None], rows[j]])
+            live = np.any(cofs != 0, axis=1)
+            if not live.any():
                 continue
+            rs = active[live]
             # the coefficient body is symmetric, so argmax(-cof) = -argmax(cof) gives the same |det|
-            for r, c in zip(cofs, _dual_norm_argmax(np.array(list(cofs.values())), X)):
-                Cc = Cs[r].copy()
-                Cc[:, j] = c
-                if abs(np.linalg.det(Cc)) > abs(np.linalg.det(Cs[r])) + 1e-12:
-                    Cs[r] = Cc
-                    improved.add(r)
-        active = sorted(improved)
-        if not active:
+            Cc = Cs[rs]
+            Cc[:, :, j] = _dual_norm_argmax(cofs[live], X)
+            better = np.abs(np.linalg.det(Cc)) > np.abs(np.linalg.det(Cs[rs])) + 1e-12
+            Cs[rs[better]] = Cc[better]
+            improved[rs[better]] = True
+        active = np.flatnonzero(improved)
+        if not active.size:
             break
-    best_C = max(Cs, key=lambda C: abs(np.linalg.det(C)))
+    best_C = Cs[np.argmax(np.abs(np.linalg.det(Cs)))]
 
     vecs = B @ best_C
     for j in range(k):

@@ -9,6 +9,7 @@ every cell is a continuity set of the pushforward measure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,6 +81,28 @@ def tail_weight(values: np.ndarray, masses: np.ndarray, K: float, p: float) -> f
     return float(np.max(np.sum(np.where(sel, np.abs(values) ** p * masses[None, :], 0.0), axis=1)))
 
 
+def _axis_breakpoints(values: np.ndarray, K: float, width: float) -> tuple[float, ...]:
+    """Breakpoints -K .. K of one axis.  Each step goes to the last midpoint
+    between consecutive distinct values in (lo, lo + width (1 - 1e-9)], found
+    by bisection, or else to lo + width (1 - 1e-6) snapped off the values."""
+    vals = np.unique(values)
+    taken = set(vals.tolist())
+    mids = ((vals[:-1] + vals[1:]) / 2).tolist()  # ascending
+    bp = [-K]
+    while bp[-1] < K:
+        lo = bp[-1]
+        limit = lo + width * (1 - 1e-9)
+        if limit >= K:
+            bp.append(K)
+            break
+        at = bisect_right(mids, limit) - 1
+        if at >= 0 and mids[at] > lo:
+            bp.append(mids[at])
+        else:
+            bp.append(_snap_off(lo + width * (1 - 1e-6), taken))
+    return tuple(bp)
+
+
 def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
                       ) -> tuple[BoxPartition, PullbackPartition]:
     """(eps, K)-appropriate box partition for the functions F plus its pullback.
@@ -111,25 +134,8 @@ def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
 
     total = float(space.total_mass())
     width = eps / (3 * total) ** (1 / pf)
-    breakpoints = []
-    for j in range(nfun):
-        vals = np.unique(values[j])
-        taken = set(vals.tolist())
-        mids = (vals[:-1] + vals[1:]) / 2 if len(vals) > 1 else np.array([])
-        bp = [-K]
-        while bp[-1] < K:
-            lo = bp[-1]
-            limit = lo + width * (1 - 1e-9)
-            if limit >= K:
-                bp.append(K)
-                break
-            snap = mids[(mids > lo) & (mids <= limit)]
-            if snap.size:
-                bp.append(float(snap[-1]))
-            else:
-                bp.append(_snap_off(lo + width * (1 - 1e-6), taken))
-        breakpoints.append(tuple(bp))
-    part = BoxPartition(nfun, K, eps, tuple(breakpoints))
+    breakpoints = tuple(_axis_breakpoints(row, K, width) for row in values)
+    part = BoxPartition(nfun, K, eps, breakpoints)
     return part, PullbackPartition(part.cells_of(values))
 
 

@@ -81,6 +81,39 @@ def test_budget_flags_only_where_read(argv, capsys):
     assert "lpfraisse: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spaces", "round", "--budget-samples", "5"],
+    ["spaces", "amalgamate", "--gamma", "g.json", "--eta", "e.json", "--budget-samples", "64"],
+    ["ramsey", "spread", "--budget-colorings", "5"],
+    ["ramsey", "dp", "--budget-colorings", "5"],
+    ["ramsey", "search", "--budget-colorings", "5"],
+    ["ramsey", "dual", "--budget-colorings", "5"],
+    ["ramsey", "demo", "--budget-colorings", "1000000"],
+])
+def test_budget_flags_refused_by_actions_that_ignore_them(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    flag = argv[-2]
+    reader = {"spaces": "distortion", "ramsey": "check"}[argv[0]]
+    assert json.loads(r.stdout) == {"error": f"{flag} is read only by '{argv[0]} {reader}'", "pointer": ""}
+
+
+DISTORTION_INPUT = ('{"p":1,"d":2,"n":3,"cols":[[{"k":0,"s":1,"wpow":"1/2"},'
+                    '{"k":1,"s":1,"wpow":"1/2"}],[{"k":2,"s":1,"wpow":"9/10"}]]}')
+
+
+@pytest.mark.parametrize("argv, flag, stdin", [
+    (["spaces", "distortion"], ["--budget-samples", "64"], DISTORTION_INPUT),
+    (["ramsey", "check", "-n", "4", "-d", "2", "-m", "2", "-r", "2", "--eps", "0.5"],
+     ["--budget-colorings", "1000000"], None),
+])
+def test_budget_flags_read_where_given(argv, flag, stdin):
+    # the reading action takes the flag, and its explicit default prints the bytes of no flag
+    given, plain = run_cli(*argv, *flag, stdin=stdin), run_cli(*argv, stdin=stdin)
+    assert given.returncode == plain.returncode == 0
+    assert given.stdout == plain.stdout
+
+
 def test_certify_and_replay(tmp_path):
     cert = tmp_path / "cert.jsonl"
     r = run_cli("equi", "certify", "-d", "2", "-m", "2", "-r", "2",

@@ -3,12 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from scipy.spatial.distance import cdist
 
+from lpfraisse import geometry
 from lpfraisse.core import PIndex, norm_p, rng_from_seed
 from lpfraisse.geometry import (
-    GapPreconditionError, Subspace, _dists_to_unit_ball, _dual_norm_argmax, auerbach_basis,
-    bm_from_gap, dist_to_unit_ball, gap_estimate,
+    AuerbachResult, GapPreconditionError, Subspace, _dists_to_unit_ball, _dual_norm_argmax,
+    _linprog, auerbach_basis, bm_from_gap, dist_to_unit_ball, gap_estimate,
 )
 from lpfraisse.spaces import VectorP
 
@@ -112,6 +114,57 @@ class TestStackedDistances:
         P[17, 2] = 1e20
         with pytest.raises(RuntimeError, match="LP failed"):
             _dists_to_unit_ball(P, Y)
+
+
+def kron_linprog(obj, A, rhs, lb):
+    """The stacked LP solved as `_linprog` solved it before its lean entry
+    point: a kron-built block-diagonal matrix and a list of bound pairs through
+    scipy.optimize.linprog (a test-only reference)."""
+    m = len(obj) // A.shape[1]
+    bounds = [(None if np.isneginf(b) else b, None) for b in lb] * m
+    res = scipy.optimize.linprog(obj, A_ub=scipy.sparse.kron(scipy.sparse.identity(m), A), b_ub=rhs,
+                                 bounds=bounds, method="highs")
+    assert res.status == 0
+    return res.x
+
+
+class TestLinprog:
+    @pytest.mark.parametrize("p", [1, None])
+    @pytest.mark.parametrize("n, k, m", [(2, 1, 1), (4, 2, 5), (9, 3, 7), (20, 2, 16), (48, 3, 16)])
+    def test_matches_kron_linprog(self, p, n, k, m, monkeypatch):
+        rng = rng_from_seed(70 + n + k + m)
+        Y = Subspace(n, PIndex.of(p), rng.standard_normal((n, k)))
+        G = rng.standard_normal((m, k))
+        P = rng.standard_normal((m, n)) * rng.uniform(0.1, 3, size=(m, 1))
+        # the stacked LPs of both callers, each solved both ways: equal x, so equal outputs
+        calls = []
+        monkeypatch.setattr(geometry, "_linprog", lambda *a: calls.append(a) or _linprog(*a))
+        _dual_norm_argmax(G, Y), _dists_to_unit_ball(P, Y)
+        assert len(calls) == 2
+        for args in calls:
+            assert np.array_equal(_linprog(*args), kron_linprog(*args))
+
+    @pytest.mark.parametrize("excess, fails", [(1e-3, True), (1e-5, False)])
+    def test_infeasible_solution_raises(self, excess, fails, monkeypatch):
+        # scaling the optimum of max g.c over ||Bc||_inf <= 1 by 1 + excess
+        # breaks its tight constraint by excess; the check forgives 10 sqrt(1e-9)
+        milp = scipy.optimize.milp
+
+        def tampered(*args, **kwargs):
+            res = milp(*args, **kwargs)
+            res.x = res.x * (1 + excess)
+            return res
+
+        rng = rng_from_seed(32)
+        Y = Subspace(6, PIndex.of(None), rng.standard_normal((6, 3)))
+        G = rng.standard_normal((4, 3))
+        monkeypatch.setattr(scipy.optimize, "milp", tampered)
+        if fails:
+            with pytest.raises(RuntimeError, match="LP failed"):
+                _dual_norm_argmax(G, Y)
+        else:
+            assert np.max(norm_p(_dual_norm_argmax(G, Y) @ Y.basis.T, PIndex.of(None), axis=1)) \
+                == pytest.approx(1 + excess, abs=1e-9)
 
 
 def perturbed_pair(p, k):
@@ -240,6 +293,50 @@ class TestDualNormArgmax:
             assert np.max(norm_p(C @ Y.basis.T, PIndex.of(p), axis=1)) <= 1 + 1e-9
 
 
+def auerbach_per_restart(X, restarts, seed, check_samples=2000, ascent_rounds=30):
+    """`auerbach_basis` at p != 2 as it ran before its restarts were stacked:
+    one restart and one cofactor at a time (a test-only oracle)."""
+    k = X.dim
+    B, p = X.basis, X.ambient_p
+    rng = rng_from_seed(seed)
+    Cs = [rng.standard_normal((k, k)) for _ in range(restarts)]
+    for C in Cs:
+        for j in range(k):
+            C[:, j] /= norm_p(B @ C[:, j], p)
+    active = range(restarts)
+    for _ in range(ascent_rounds):
+        improved = set()
+        for j in range(k):
+            cofs = {}
+            for r in active:
+                minor = np.delete(Cs[r], j, axis=1)
+                cof = np.array([(-1) ** (i + j) * np.linalg.det(np.delete(minor, i, axis=0))
+                                for i in range(k)])
+                if np.any(cof != 0):
+                    cofs[r] = cof
+            if not cofs:
+                continue
+            for r, c in zip(cofs, _dual_norm_argmax(np.array(list(cofs.values())), X)):
+                Cc = Cs[r].copy()
+                Cc[:, j] = c
+                if abs(np.linalg.det(Cc)) > abs(np.linalg.det(Cs[r])) + 1e-12:
+                    Cs[r] = Cc
+                    improved.add(r)
+        active = sorted(improved)
+        if not active:
+            break
+    best_C = max(Cs, key=lambda C: abs(np.linalg.det(C)))
+    vecs = B @ best_C
+    for j in range(k):
+        vecs[:, j] /= norm_p(vecs[:, j], p)
+    coeffs = rng.standard_normal((check_samples, k))
+    coeffs /= np.max(np.abs(coeffs), axis=1)[:, None]
+    nv = norm_p((vecs @ coeffs.T).T, p, axis=1)
+    with np.errstate(divide="ignore"):
+        worst = float(np.max(np.max(np.abs(coeffs), axis=1) / nv))
+    return AuerbachResult(vecs, max(0.0, worst - 1.0))
+
+
 # |det| of the coefficient matrix of the basis the coordinate ascent found at
 # p = 2, on rng_from_seed(40 + k).standard_normal((n, k))
 ASCENT_VOLUMES = {(4, 2): 0.3429514788663467, (5, 3): 0.5465280051002613, (6, 4): 0.19771599331736758}
@@ -279,6 +376,18 @@ class TestAuerbach:
         assert res.defect == 0.0
         volume = abs(np.linalg.det(np.linalg.lstsq(B, res.vectors, rcond=None)[0]))
         assert volume >= ASCENT_VOLUMES[n, k] - 1e-12
+
+
+    @pytest.mark.parametrize("p", [1, 3, None])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("restarts", [3, 16])
+    def test_stacked_ascent_matches_per_restart_loop(self, p, k, restarts):
+        rng = rng_from_seed(80 + k)
+        X = Subspace(k + 3, PIndex.of(p), rng.standard_normal((k + 3, k)))
+        res = auerbach_basis(X, restarts=restarts, seed=k)
+        ref = auerbach_per_restart(X, restarts, seed=k)
+        assert np.array_equal(res.vectors, ref.vectors)
+        assert res.defect == ref.defect
 
 
 class TestBmBridge:

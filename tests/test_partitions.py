@@ -5,7 +5,7 @@ from fractions import Fraction
 from lpfraisse.core import PIndex, rng_from_seed
 from lpfraisse.measures import DiscreteSpace, levy_prokhorov, DiscreteMeasure
 from lpfraisse.partitions import (
-    TAIL, CellMismatchError, build_appropriate, conditional_expectation, envelope,
+    TAIL, CellMismatchError, _axis_breakpoints, _snap_off, build_appropriate, conditional_expectation, envelope,
     tail_weight, transfer_isometry,
 )
 
@@ -59,6 +59,78 @@ class TestBuildAppropriate:
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
             build_appropriate(np.ones((1, 4)), uniform_space(4), 1.5, 1)
+
+
+def mask_breakpoints(values, K, width):
+    """One axis's breakpoints as `build_appropriate` found them before it
+    bisected: a boolean mask over every midpoint at each step (a test-only
+    oracle)."""
+    vals = np.unique(values)
+    taken = set(vals.tolist())
+    mids = (vals[:-1] + vals[1:]) / 2 if len(vals) > 1 else np.array([])
+    bp = [-K]
+    while bp[-1] < K:
+        lo = bp[-1]
+        limit = lo + width * (1 - 1e-9)
+        if limit >= K:
+            bp.append(K)
+            break
+        snap = mids[(mids > lo) & (mids <= limit)]
+        if snap.size:
+            bp.append(float(snap[-1]))
+        else:
+            bp.append(_snap_off(lo + width * (1 - 1e-6), taken))
+    return tuple(bp)
+
+
+def ulp_pair(x):
+    """The floats either side of x, whose midpoint is x itself."""
+    a, b = np.nextafter(x, -np.inf), np.nextafter(x, np.inf)
+    assert (a + b) / 2 == x
+    return [a, b]
+
+
+class TestBisectedBreakpoints:
+    def test_seeded_values_match_mask_loop(self):
+        rng = rng_from_seed(90)
+        for _ in range(300):
+            n = int(rng.integers(1, 60))
+            vals = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1)
+            if rng.random() < 0.5:  # ties and ulp-close values
+                vals = np.concatenate([vals, vals[: n // 2], np.nextafter(vals[: n // 3], np.inf)])
+            K = float(np.max(np.abs(vals))) * rng.uniform(0.2, 1.2)
+            width = K * 10.0 ** rng.uniform(-2.5, 0.5)
+            assert _axis_breakpoints(vals, K, width) == mask_breakpoints(vals, K, width)
+
+    @pytest.mark.parametrize("seed, p", [(1, 1), (2, 3), (3, "3/2")])
+    def test_build_appropriate_matches_mask_loop(self, seed, p):
+        rng = rng_from_seed(seed)
+        sp = uniform_space(40)
+        vals = np.round(rng.normal(size=(3, 40)), 2)  # with repeated values
+        part, _ = build_appropriate(vals, sp, 0.3, p)
+        width = 0.3 / 3 ** (1 / float(Fraction(p)))
+        assert part.breakpoints == tuple(mask_breakpoints(v, part.K, width) for v in vals)
+
+    @pytest.mark.parametrize("case", ["mid at limit", "mid at lo", "single value", "equal mids"])
+    def test_edge_cases_match_mask_loop(self, case):
+        K, width = 1.0, 0.25
+        if case == "mid at limit":
+            limit = -K + width * (1 - 1e-9)
+            vals, expect = ulp_pair(limit) + [0.5], limit
+        elif case == "mid at lo":
+            vals, expect = ulp_pair(-K) + [0.5], None
+        elif case == "single value":
+            vals, expect = [0.37] * 5, None
+        else:
+            vals = [0.3, np.nextafter(0.3, 1), np.nextafter(np.nextafter(0.3, 1), 1)]
+            assert (vals[0] + vals[1]) / 2 == (vals[1] + vals[2]) / 2
+            K, width, expect = 1.0, 1.5, (vals[0] + vals[1]) / 2
+        bp = _axis_breakpoints(np.array(vals), K, width)
+        assert bp == mask_breakpoints(np.array(vals), K, width)
+        if expect is not None:
+            assert bp[1] == expect
+        if case == "mid at lo":
+            assert bp[1] > -K
 
 
 class TestConditionalExpectation:
