@@ -240,7 +240,11 @@ def cmd_lattice(args) -> dict:
 
 def cmd_suite(args) -> tuple[dict, int]:
     if args.replay:
-        cert = equi.Certificate.from_jsonl(open(args.replay).read())
+        for flag, given in (("--fast", args.fast), ("--criteria", args.criteria is not None)):
+            if given:
+                raise ValueError(f"{flag} is not read by 'suite --replay'")
+        with open(args.replay) as fh:
+            cert = equi.Certificate.from_jsonl(fh.read())
         ok = equi.replay(cert)
         return {"rows": [{"replay": args.replay, "ok": ok}]}, 0 if ok else 1
     names = args.criteria.split(",") if args.criteria else None

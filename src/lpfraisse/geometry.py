@@ -37,9 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
-import scipy.spatial
 
 from lpfraisse.core import FLOAT_TOL, PIndex, norm_p, rng_from_seed
 from lpfraisse.spaces import LinearMap, VectorP
@@ -121,6 +118,9 @@ def _linprog(obj: np.ndarray, A: np.ndarray, rhs: np.ndarray, lb: np.ndarray) ->
     NaN, within 10 sqrt(1e-9) of its bounds and constraints; a solve that is
     not optimal, or fails the check, raises RuntimeError.
     """
+    import scipy.optimize
+    import scipy.sparse
+
     A = scipy.sparse.csc_array(A)
     rows, nv = A.shape
     m = len(obj) // nv
@@ -184,6 +184,8 @@ def _dists_to_unit_ball(P: np.ndarray, Y: Subspace) -> tuple[np.ndarray, np.ndar
         return d, sol[:, :k] @ B.T
 
     # general p: smooth constrained solve from a few starts, feasibility by scaling
+    import scipy.optimize
+
     pf = float(p)
 
     def _scale(c):
@@ -251,6 +253,8 @@ def gap_estimate(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0,
     """
     if X.dim != Y.dim or X.ambient_n != Y.ambient_n or X.ambient_p != Y.ambient_p:
         raise ValueError("dimension/ambient mismatch")
+    import scipy.spatial
+
     rng = rng_from_seed(seed)
     lower = 0.0
     mesh = 0.0

@@ -130,6 +130,19 @@ def test_certify_and_replay(tmp_path):
     assert r3.returncode == 1
 
 
+@pytest.mark.parametrize("flags", [["--fast"], ["--criteria", "certificates"], ["--fast", "--criteria", ""]])
+def test_replay_refuses_battery_flags(tmp_path, capsys, flags):
+    from lpfraisse import cli
+
+    cert = tmp_path / "cert.jsonl"
+    assert cli.main(["equi", "certify", "-d", "2", "-m", "2", "-r", "2",
+                     "--eps", "0.6", "--delta", "0.2", "-o", str(cert)]) == 0
+    capsys.readouterr()
+    assert cli.main(["suite", "--replay", str(cert), *flags]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"{flags[0]} is not read by 'suite --replay'", "pointer": ""}
+
+
 def test_certify_refusal_exit_code():
     r = run_cli("equi", "certify", "-d", "2", "-m", "4", "-r", "2", "--eps", "0.001", "--delta", "0.1")
     assert r.returncode == 2
