@@ -247,7 +247,7 @@ def cmd_suite(args) -> tuple[dict, int]:
             cert = equi.Certificate.from_jsonl(fh.read())
         ok = equi.replay(cert)
         return {"rows": [{"replay": args.replay, "ok": ok}]}, 0 if ok else 1
-    names = args.criteria.split(",") if args.criteria else None
+    names = None if args.criteria is None else args.criteria.split(",")
     results = suite.run_suite(seed=args.seed, fast=args.fast, names=names)
     for r in results:
         print(f"{r.name} {r.runtime:.3f}", file=sys.stderr)
@@ -256,103 +256,106 @@ def cmd_suite(args) -> tuple[dict, int]:
     return {"rows": rows, "all_passed": all_ok, "seed": args.seed}, 0 if all_ok else 1
 
 
-GLOBAL_DEFAULTS = {
-    "seed": None,  # resolved against the environment at run time
-    "format": None,
-}
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusals raise ValueError, so that they leave
+    through main's JSON error path.  Flags are spelled out in full: an
+    abbreviation could name a flag the action does not read.  `names` maps
+    the parser's subcommand or action names to their parsers."""
+
+    names: dict = {}
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def build_parser() -> _Parser:
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for every sampled operation (env LPFRAISSE_SEED)")
     common.add_argument("--format", choices=("json", "csv", "table"), default=argparse.SUPPRESS)
 
-    ap = argparse.ArgumentParser(prog="lpfraisse", parents=[common],
-                                 description="approximate isometric embeddings between l_p spaces, at desk scale")
+    def flag(*names, **kwargs) -> _Parser:
+        """A parent parser holding one flag, for the actions that read it."""
+        parent = _Parser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    ap = _Parser(prog="lpfraisse", parents=[common],
+                 description="approximate isometric embeddings between l_p spaces, at desk scale")
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.names = sub.choices
 
-    sp = sub.add_parser("spaces", parents=[common])
-    sp.add_argument("action", choices=("distortion", "round", "amalgamate"))
-    sp.add_argument("--input", default="-")
-    sp.add_argument("--gamma")
-    sp.add_argument("--eta")
-    sp.add_argument("--coupling", choices=("northwest", "product"), default="northwest")
-    sp.add_argument("--budget-samples", type=int, help="sphere samples of a dense distortion (default 64)")
+    def actions(command, handler):
+        """Adds command; returns a function adding one of its actions with its flags."""
+        cp = sub.add_parser(command, parents=[common])
+        cp.set_defaults(handler=handler)
+        acts = cp.add_subparsers(dest="action", required=True)
+        cp.names = acts.choices
+        return lambda action, *flags: acts.add_parser(action, parents=[common, *flags])
 
-    gp_ = sub.add_parser("geometry", parents=[common])
-    gp_.add_argument("action", choices=("gap", "bm"))
-    gp_.add_argument("--x", required=True)
-    gp_.add_argument("--y", required=True)
-    gp_.add_argument("--budget-samples", type=int, default=64, help="sphere grid points per side")
+    sp = actions("spaces", cmd_spaces)
+    stdin = flag("--input", default="-")
+    sp("distortion", stdin, flag("--budget-samples", type=int, default=64,
+                                 help="sphere samples of a dense distortion (default 64)"))
+    sp("round", stdin)
+    sp("amalgamate", flag("--gamma", required=True), flag("--eta", required=True),
+       flag("--coupling", choices=("northwest", "product"), default="northwest"))
 
-    mz = sub.add_parser("mazur", parents=[common])
-    mz.add_argument("action", choices=("map", "embed", "transfer"))
-    mz.add_argument("--p", required=True)
-    mz.add_argument("--q", required=True)
-    mz.add_argument("--vector")
-    mz.add_argument("--input", default="-")
-    mz.add_argument("-d", type=int, default=1)
-    mz.add_argument("-m", type=int, default=1)
-    mz.add_argument("-r", type=int, default=1)
-    mz.add_argument("--eps", type=float, default=0.1)
+    gm = actions("geometry", cmd_geometry)
+    xy = (flag("--x", required=True), flag("--y", required=True),
+          flag("--budget-samples", type=int, default=64, help="sphere grid points per side (default 64)"))
+    gm("gap", *xy)
+    gm("bm", *xy)
 
-    ms = sub.add_parser("measures", parents=[common])
-    ms.add_argument("action", choices=("char", "lp", "invert", "counterexample"))
-    ms.add_argument("--input", default="-")
-    ms.add_argument("--mu")
-    ms.add_argument("--nu")
-    ms.add_argument("--p", default="2")
-    ms.add_argument("--a", default="[0]")
-    ms.add_argument("--a-scalar", type=float, default=0.0)
-    ms.add_argument("--eps", type=float, default=0.1)
+    mz = actions("mazur", cmd_mazur)
+    pq = (flag("--p", required=True), flag("--q", required=True))
+    mz("map", *pq, flag("--vector", required=True))
+    mz("embed", *pq, stdin)
+    mz("transfer", *pq, flag("-d", type=int, default=1), flag("-m", type=int, default=1),
+       flag("-r", type=int, default=1), flag("--eps", type=float, default=0.1))
 
-    ev = sub.add_parser("envelope", parents=[common])
-    ev.add_argument("action", choices=("build", "transfer"))
-    ev.add_argument("--space", required=True)
-    ev.add_argument("--basis", required=True)
-    ev.add_argument("--eps", type=float, required=True)
-    ev.add_argument("--p", default="1")
-    ev.add_argument("--target-space")
-    ev.add_argument("--gamma")
+    ms = actions("measures", cmd_measures)
+    p = flag("--p", default="2")
+    ms("char", stdin, p, flag("--a", default="[0]"))
+    ms("lp", flag("--mu", required=True), flag("--nu", required=True))
+    ms("invert", stdin, p, flag("--a-scalar", type=float, default=0.0), flag("--eps", type=float, default=0.1))
+    ms("counterexample", p)
 
-    eq = sub.add_parser("equi", parents=[common])
-    eq.add_argument("action", choices=("delta", "match", "round", "count", "alpha", "certify"))
-    eq.add_argument("--map")
-    eq.add_argument("--phi")
-    eq.add_argument("--psi")
-    eq.add_argument("--s", type=int, default=2)
-    eq.add_argument("-n", type=int, default=4)
-    eq.add_argument("-d", type=int, default=2)
-    eq.add_argument("-m", type=int, default=2)
-    eq.add_argument("-r", type=int, default=1)
-    eq.add_argument("--eps", type=float, default=0.5)
-    eq.add_argument("--delta", type=float, default=0.0)
-    eq.add_argument("--theta", type=float, default=0.5)
-    eq.add_argument("-o", "--output")
+    ev = actions("envelope", cmd_envelope)
+    env = (flag("--space", required=True), flag("--basis", required=True),
+           flag("--eps", type=float, required=True), flag("--p", default="1"))
+    ev("build", *env)
+    ev("transfer", *env, flag("--target-space", required=True), flag("--gamma", required=True))
 
-    rm = sub.add_parser("ramsey", parents=[common])
-    rm.add_argument("action", choices=("spread", "dp", "search", "check", "dual", "demo"))
-    rm.add_argument("--profile")
-    rm.add_argument("--positions")
-    rm.add_argument("--vector")
-    rm.add_argument("--input", default="-")
-    rm.add_argument("-n", type=int, default=6)
-    rm.add_argument("-d", type=int, default=2)
-    rm.add_argument("-m", type=int, default=2)
-    rm.add_argument("-r", type=int, default=2)
-    rm.add_argument("-e", type=int, default=2)
-    rm.add_argument("--eps", type=float, default=0.5)
-    rm.add_argument("--delta", type=float, default=0.0)
-    rm.add_argument("--k-budget", type=int, default=6)
-    rm.add_argument("--budget-colorings", type=int,
-                    help="random colorings of 'check' when the full sweep is over budget (default 10^6)")
+    eq = actions("equi", cmd_equi)
+    fmap, s, n = flag("--map", required=True), flag("--s", type=int, default=2), flag("-n", type=int, default=4)
+    d, m = flag("-d", type=int, default=2), flag("-m", type=int, default=2)  # ramsey's too
+    eps, delta = flag("--eps", type=float, default=0.5), flag("--delta", type=float, default=0.0)
+    eq("delta", fmap, s)
+    eq("match", flag("--phi", required=True), flag("--psi", required=True), s)
+    eq("round", fmap, s)
+    eq("count", n, s, delta)
+    eq("alpha", n, s, flag("--theta", type=float, default=0.5), eps)
+    eq("certify", d, m, flag("-r", type=int, default=1), eps, delta, flag("-o", "--output"))
 
-    lt = sub.add_parser("lattice", parents=[common])
-    lt.add_argument("action", choices=("check", "round"))
-    lt.add_argument("--input", default="-")
-    lt.add_argument("--delta", type=float, required=True)
-    lt.add_argument("--mode", choices=("lattice", "disjoint"), default="lattice")
+    rm = actions("ramsey", cmd_ramsey)
+    profile = flag("--profile", required=True)
+    rm("spread", profile, flag("--positions", required=True), flag("-n", type=int, default=6))
+    rm("dp", profile, flag("--vector", required=True))
+    rm("search", m, eps, flag("--k-budget", type=int, default=6))
+    rm("check", flag("-n", type=int, default=6), d, m, flag("-r", type=int, default=2), eps, delta,
+       flag("--budget-colorings", type=int, default=10**6,
+            help="random colorings when the full sweep is over budget (default 10^6)"))
+    rm("dual", stdin)
+    rm("demo", d, m, flag("-e", type=int, default=2))
+
+    lt = actions("lattice", cmd_lattice)
+    matrix = (stdin, flag("--delta", type=float, required=True))
+    lt("check", *matrix)
+    lt("round", *matrix, flag("--mode", choices=("lattice", "disjoint"), default="lattice"))
 
     st = sub.add_parser("suite", parents=[common])
     st.add_argument("--fast", action="store_true", help="reduced trial counts for smoke runs")
@@ -361,54 +364,47 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-DEFAULT_FORMATS = {"geometry": "csv", "suite": "table"}
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser()'s reading of argv, which first refuses, by name, any flag
+    that its parser does not declare.  argparse alone would report a missing
+    required flag first, and would not name a flag written before a
+    subcommand or action name: it sets the flag aside and reports the value
+    after it as an unknown name."""
+    ap = parser = build_parser()
+    i = 0
+    while i < len(argv) and parser is not None and argv[i] != "--":
+        token = argv[i]
+        if not token.startswith("-"):
+            parser = parser.names.get(token) if parser.names else parser
+            i += 1
+            continue
+        flag, attached, _ = token.partition("=")
+        if flag not in parser._option_string_actions and token[1:2] != "-":
+            flag, attached = token[:2], token[2:]  # a short flag with its value attached, as -n5
+        action = parser._option_string_actions.get(flag)
+        if action is None:
+            parser.error(f"unrecognized arguments: {token}")
+        i += 1 if attached or action.nargs == 0 else 2
+    return ap.parse_args(argv)
 
-# the one action of a subcommand that reads its budget flag, the flag and its
-# default; the other actions of the subcommand refuse the flag
-BUDGET_READERS = {
-    "spaces": ("distortion", "budget_samples", 64),
-    "ramsey": ("check", "budget_colorings", 10**6),
-}
+
+DEFAULT_FORMATS = {"geometry": "csv", "suite": "table"}
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    for key, default in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
-    if args.seed is None:
-        seed_env = os.environ.get("LPFRAISSE_SEED")
-        args.seed = int(seed_env) if seed_env else 0
-    fmt = args.format or DEFAULT_FORMATS.get(args.command, "json")
-    handlers = {
-        "spaces": cmd_spaces,
-        "geometry": cmd_geometry,
-        "mazur": cmd_mazur,
-        "measures": cmd_measures,
-        "envelope": cmd_envelope,
-        "equi": cmd_equi,
-        "ramsey": cmd_ramsey,
-        "lattice": cmd_lattice,
-    }
     try:
-        if args.command in BUDGET_READERS:
-            reader, dest, default = BUDGET_READERS[args.command]
-            if args.action == reader:
-                if getattr(args, dest) is None:
-                    setattr(args, dest, default)
-            elif getattr(args, dest) is not None:
-                raise ValueError(f"--{dest.replace('_', '-')} is read only by '{args.command} {reader}'")
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if "seed" not in args:
+            args.seed = int(os.environ.get("LPFRAISSE_SEED") or 0)
         if args.command == "suite":
             report, code = cmd_suite(args)
-            _emit(report, fmt)
-            return code
-        report = handlers[args.command](args)
+        else:
+            report, code = args.handler(args), 0
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
         _emit({"error": str(exc), "pointer": getattr(exc, "pointer", "")}, "json")
         return 2
-    _emit(report, fmt)
-    return 0
+    _emit(report, getattr(args, "format", None) or DEFAULT_FORMATS.get(args.command, "json"))
+    return code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 SUBSET_EXACT_BUDGET = 300_000
+CERTIFICATE_N_BUDGET = 4_000_000
 EXACT_DP_CAP = 2000
 EXACT_SPACE_CAP = 2_000_000
 REPLAY_RTOL = 1e-12
@@ -335,8 +336,7 @@ def _comb_at_most(N: int, k: int, budget: int) -> bool:
     return c <= budget
 
 
-def concentration_exact(n: int, s: int, theta: float, eps: float,
-                        subset_budget: int = SUBSET_EXACT_BUDGET) -> ConcentrationResult:
+def concentration_exact(n: int, s: int, theta: float, eps: float) -> ConcentrationResult:
     """alpha(theta, eps) = 1 - inf{mu(A_eps) : mu(A) >= theta} on (S^n, d_H).
 
     Closed fattenings; eps floors to the attainable grid floor(eps*n)/n.
@@ -353,7 +353,7 @@ def concentration_exact(n: int, s: int, theta: float, eps: float,
     if N > EXACT_SPACE_CAP:
         return ConcentrationResult(0.0, 1.0 - theta, "trivial")
 
-    if _comb_at_most(N, k, subset_budget):
+    if _comb_at_most(N, k, SUBSET_EXACT_BUDGET):
         reach = []
         for i in range(N):
             m = np.zeros(N, dtype=bool)
@@ -532,10 +532,10 @@ def _certificate_for(d: int, m: int, r: int, eps: float, delta: float, n: int) -
         tuple(lines), ok)
 
 
-def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float,
-                             n_budget: int = 4_000_000) -> tuple[int, Certificate]:
-    """Smallest n in the doubling-then-bisecting schedule of multiples of m
-    whose assembled inequality chain certifies the Ramsey conclusion.
+def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float) -> tuple[int, Certificate]:
+    """Smallest n in the doubling-then-bisecting schedule of multiples of m,
+    up to CERTIFICATE_N_BUDGET, whose assembled inequality chain certifies
+    the Ramsey conclusion.
     """
     if m % d != 0:
         raise ValueError("need d | m")
@@ -543,7 +543,7 @@ def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float,
         raise ValueError("need r >= 1 and eps > 0")
     if r == 1:
         return m, _certificate_for(d, m, r, eps, delta, m)
-    hi = m
+    hi, n_budget = m, CERTIFICATE_N_BUDGET
     while hi <= n_budget:
         cert = _certificate_for(d, m, r, eps, delta, hi)
         if cert.verdict:

@@ -18,6 +18,9 @@ from lpfraisse.equi import Certificate, canonical_exact, _window
 from lpfraisse.spaces import ColumnEntry, LampertiEmbedding
 
 EXHAUSTIVE_BUDGET = 2**24
+FALSIFY_BATCH = 4096  # colorings evaluated at once by falsify_certificate, at most
+SPREAD_B_SAMPLES = 200  # sampled unit combinations per profile of spread_vector_search
+SPREAD_DESCENT_ROUNDS = 40  # perturbations tried per seed profile
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,7 @@ class SpreadSearchReport:
     verified_on_sample: bool
 
 
-def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0,
-                         b_samples: int = 200, descent_rounds: int = 40) -> SpreadSearchReport:
+def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0) -> SpreadSearchReport:
     """Heuristic profile search maximizing the worst-case DP margin over a
     seeded sample of unit combinations of the block vectors.  Evidence is
     sampled only; no universal claim is made."""
@@ -131,7 +133,7 @@ def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0,
         blocks = np.stack([block_vector(a, j, m) for j in range(m)])
         worst, wit = -1.0, None
         bs = []
-        for _ in range(b_samples):
+        for _ in range(SPREAD_B_SAMPLES):
             b = rng.dirichlet(np.ones(m)) * rng.choice([-1.0, 1.0], size=m)
             bs.append(b)
         bs += [np.eye(m)[j] for j in range(m)]
@@ -158,7 +160,7 @@ def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0,
             a = SpreadVector(raw / np.sum(np.abs(raw)))
             err, wit = worst_error(a)
             cur = (err, a, wit)
-            for _ in range(descent_rounds):
+            for _ in range(SPREAD_DESCENT_ROUNDS):
                 i = int(rng.integers(k))
                 pert = cur[1].a.copy()
                 pert[i] = pert[i] * float(np.exp(0.3 * rng.standard_normal()))
@@ -173,7 +175,7 @@ def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0,
         if best[0] < eps:
             break
     err, a, wit = best
-    return SpreadSearchReport(a, err, wit, eps, b_samples, err < eps)
+    return SpreadSearchReport(a, err, wit, eps, SPREAD_B_SAMPLES, err < eps)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +220,7 @@ class RamseyCheckResult:
 
 
 def exhaustive_ramsey_check(n: int, d: int, m: int, r: int, eps: float, delta: float,
-                            budget: int = EXHAUSTIVE_BUDGET, seed: int = 0,
-                            falsification_colorings: int = 10**6) -> RamseyCheckResult:
+                            seed: int = 0, falsification_colorings: int = 10**6) -> RamseyCheckResult:
     """Decide (or randomly probe) the tiny-scale Ramsey statement: every
     r-coloring of the delta-window maps n -> d admits R in Equi(n, m) whose
     Equi_delta(m, d)-orbit lies in one (delta+eps)-fattened color class."""
@@ -263,9 +264,9 @@ def exhaustive_ramsey_check(n: int, d: int, m: int, r: int, eps: float, delta: f
         ball.append(v)
 
     total = r**U
-    if total <= budget and r == 2 and U <= 63:
+    if total <= EXHAUSTIVE_BUDGET and r == 2 and U <= 63:
         return _sweep_two_colors(U, ball, orbit_masks, total)
-    if total <= budget:
+    if total <= EXHAUSTIVE_BUDGET:
         return _sweep_general(U, r, ball, orbit_masks, total)
     return _falsify_random(U, r, ball, orbit_masks, falsification_colorings, seed)
 
@@ -375,7 +376,7 @@ def _reached(h: np.ndarray, t: np.ndarray, r: int) -> np.ndarray:
 
 
 def falsify_certificate(cert: Certificate, colorings: int = 10**6, seed: int = 0,
-                        pool_per_member: int = 256, batch: int = 4096) -> RamseyCheckResult:
+                        pool_per_member: int = 256) -> RamseyCheckResult:
     """Randomized cross-check of a sufficient-n certificate.
 
     Colorings are lazy hash functions on the delta-window universe at the
@@ -391,7 +392,7 @@ def falsify_certificate(cert: Certificate, colorings: int = 10**6, seed: int = 0
     pairs whose prefix misses some color.  A coloring passes exactly when the
     AND of its member masks is nonzero.  The result, including the first
     failing ("hash-seed", index), depends only on (cert, colorings, seed,
-    pool_per_member); `batch` caps how many colorings are evaluated at once.
+    pool_per_member); FALSIFY_BATCH caps how many colorings are evaluated at once.
     """
     p = cert.payload
     n, d, m, r = p["n"], p["d"], p["m"], p["r"]
@@ -405,7 +406,7 @@ def falsify_certificate(cert: Certificate, colorings: int = 10**6, seed: int = 0
     pool_per_member = max(32, min(pool_per_member, 65536 // max(1, len(members))))
     words = -(-r // 64)
     width = max(pool_per_member, words)
-    batch = int(np.clip(4_000_000 // max(1, len(members) * width), 64, batch))
+    batch = int(np.clip(4_000_000 // max(1, len(members) * width), 64, FALSIFY_BATCH))
 
     pools = []
     for x in members:

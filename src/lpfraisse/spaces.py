@@ -266,30 +266,20 @@ def operator_distance_l2(a: LinearMap, b: LinearMap) -> float:
     return float(np.linalg.norm(a.matrix - b.matrix, 2))
 
 
-def compose(S, T):
-    """S after T.  Two structured embeddings compose to a structured embedding."""
-    if isinstance(S, LampertiEmbedding) and isinstance(T, LampertiEmbedding):
-        if S.p != T.p:
-            raise ShapeMismatchError("p mismatch")
-        if S.d != T.n:
-            raise ShapeMismatchError(f"cannot compose {S.d} <- with -> {T.n}")
-        cols = []
-        for j in range(T.d):
-            es = []
-            for e in T.columns[j]:
-                for f in S.columns[e.k]:
-                    es.append(ColumnEntry(f.k, e.sign * f.sign, e.wpow * f.wpow))
-            cols.append(tuple(es))
-        return LampertiEmbedding(T.d, S.n, S.p, tuple(cols))
-    sm = S.matrix if isinstance(S, LinearMap) else S.to_linear_map().matrix
-    tm = T.matrix if isinstance(T, LinearMap) else T.to_linear_map().matrix
-    s_dom = S.domain_p if isinstance(S, LinearMap) else S.p
-    s_cod = S.codomain_p if isinstance(S, LinearMap) else S.p
-    t_dom = T.domain_p if isinstance(T, LinearMap) else T.p
-    t_cod = T.codomain_p if isinstance(T, LinearMap) else T.p
-    if sm.shape[1] != tm.shape[0] or s_dom != t_cod:
-        raise ShapeMismatchError("composition shape/p mismatch")
-    return LinearMap(sm @ tm, t_dom, s_cod)
+def compose(S: LampertiEmbedding, T: LampertiEmbedding) -> LampertiEmbedding:
+    """S after T: two structured embeddings compose to a structured embedding."""
+    if S.p != T.p:
+        raise ShapeMismatchError("p mismatch")
+    if S.d != T.n:
+        raise ShapeMismatchError(f"cannot compose {S.d} <- with -> {T.n}")
+    cols = []
+    for j in range(T.d):
+        es = []
+        for e in T.columns[j]:
+            for f in S.columns[e.k]:
+                es.append(ColumnEntry(f.k, e.sign * f.sign, e.wpow * f.wpow))
+        cols.append(tuple(es))
+    return LampertiEmbedding(T.d, S.n, S.p, tuple(cols))
 
 
 def northwest_coupling(row: Sequence[Fraction], col: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 import math
 import os
@@ -66,19 +68,28 @@ def test_geometry_gap_csv(tmp_path):
     assert r.stdout == "certified,lower,samples,seed,upper\nFalse,1.0,12,0,1.0\n"
 
 
+def refusal(argv, capsys) -> str:
+    """The error of an argv that main refuses: exit 2, one JSON object on
+    standard output and nothing on standard error."""
+    from lpfraisse import cli
+
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    report = json.loads(out)
+    assert set(report) == {"error", "pointer"} and report["pointer"] == ""
+    return report["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["equi", "count", "--budget-samples", "5"],
     ["--budget-samples", "5", "geometry", "gap", "--x", "x.json", "--y", "y.json"],
     ["measures", "counterexample", "--budget-colorings", "5"],
 ])
 def test_budget_flags_only_where_read(argv, capsys):
-    # --budget-samples belongs to spaces and geometry, --budget-colorings to ramsey
-    from lpfraisse import cli
-
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert "lpfraisse: error:" in capsys.readouterr().err
+    # --budget-samples belongs to spaces distortion and geometry, --budget-colorings to ramsey check
+    flag = next(a for a in argv if a.startswith("--budget"))
+    assert flag in refusal(argv, capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -92,10 +103,69 @@ def test_budget_flags_only_where_read(argv, capsys):
 ])
 def test_budget_flags_refused_by_actions_that_ignore_them(argv):
     r = run_cli(*argv)
-    assert r.returncode == 2
-    flag = argv[-2]
-    reader = {"spaces": "distortion", "ramsey": "check"}[argv[0]]
-    assert json.loads(r.stdout) == {"error": f"{flag} is read only by '{argv[0]} {reader}'", "pointer": ""}
+    assert r.returncode == 2 and r.stderr == ""
+    assert argv[-2] in json.loads(r.stdout)["error"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    # a flag of another action or subcommand
+    (["equi", "count", "--map", "0,1"], "--map"),
+    (["lattice", "check", "--delta", "0.1", "--mode", "disjoint"], "--mode"),
+    (["mazur", "map", "--p", "1", "--q", "2", "--vector", "[1]", "-d", "5"], "-d"),
+    (["ramsey", "check", "--s", "2"], "--s"),  # no abbreviation of --seed
+    # an input the action needs
+    (["equi", "delta"], "--map"),
+    (["equi", "match", "--s", "2"], "--phi"),
+    (["mazur", "map", "--p", "1", "--q", "2"], "--vector"),
+    (["spaces", "amalgamate"], "--gamma"),
+    (["ramsey", "spread"], "--profile"),
+    (["measures", "lp"], "--mu"),
+    # a flag before the action or subcommand name, where only --seed and --format go
+    (["equi", "-n", "5", "count"], "-n"),
+    (["equi", "--s", "3", "delta", "--map", "0,1"], "--s"),
+    (["--eps", "0.5", "ramsey", "check"], "--eps"),
+    # a bad value or choice
+    (["lattice", "round", "--delta", "0.1", "--mode", "exact"], "--mode"),
+    (["equi", "count", "-n", "four"], "-n"),
+    (["equi", "count", "--format", "xml"], "--format"),
+    # a missing or unknown subcommand or action
+    (["equi"], "action"),
+    (["equi", "mean"], "mean"),
+    (["means", "count"], "means"),
+    (["--seed", "3"], "command"),
+])
+def test_parse_refusals_name_what_they_refuse(argv, name, capsys):
+    assert name in refusal(argv, capsys)
+
+
+def _subparsers(parser) -> dict:
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
+def _reads(stmts) -> set[str]:
+    return {node.attr for stmt in stmts for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"}
+
+
+def test_each_action_parses_exactly_the_flags_it_reads():
+    from lpfraisse import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    handlers = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for command, parser in _subparsers(cli.build_parser()).items():
+        # the branches `if args.action == "...":` of cmd_<command>, and the statements they share
+        branches, shared = {}, []
+        for stmt in handlers[f"cmd_{command}"].body:
+            if isinstance(stmt, ast.If) and ast.unparse(stmt.test).startswith("args.action == "):
+                branches[stmt.test.comparators[0].value] = stmt.body
+            else:
+                shared.append(stmt)
+        actions = _subparsers(parser) or {None: parser}  # suite has no actions
+        assert set(branches) == set(actions) - {None}, command
+        for action, ap in actions.items():
+            # --seed and --format are global; main reads --format
+            flags = {a.dest for a in ap._actions} - {"help", "seed", "format"}
+            assert flags == _reads(shared + branches.get(action, [])) - {"action", "seed"}, (command, action)
 
 
 DISTORTION_INPUT = ('{"p":1,"d":2,"n":3,"cols":[[{"k":0,"s":1,"wpow":"1/2"},'
@@ -222,10 +292,12 @@ def test_suite_criteria_select_by_reported_name(name):
 
 
 def test_suite_unknown_criterion_exit_code():
-    r = run_cli("--format", "json", "suite", "--fast", "--criteria", "nonsense")
-    assert r.returncode == 2
-    err = json.loads(r.stdout)["error"]
-    assert "nonsense" in err and "mazur-transport" in err
+    # an empty name is unknown too, as in "a,,b"; it does not mean "every check"
+    for name in ("nonsense", ""):
+        r = run_cli("--format", "json", "suite", "--fast", "--criteria", name)
+        assert r.returncode == 2
+        err = json.loads(r.stdout)["error"]
+        assert f"[{name!r}]" in err and "mazur-transport" in err
 
 
 def test_suite_exit_code_counts_uncertified_checks(monkeypatch, capsys):

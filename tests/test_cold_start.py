@@ -1,9 +1,13 @@
 """Importing the library loads no SciPy: `geometry` imports scipy.optimize,
 scipy.sparse and scipy.spatial, and `equi` scipy.special, inside the
-functions that call them.  Both tests run in a fresh process: this one has
-SciPy loaded already (test_geometry imports it at module level), so here no
-function-local import ever runs in a process without SciPy."""
+functions that call them.  The two process tests run in a fresh process:
+this one has SciPy loaded already (test_geometry imports it at module
+level), so here no function-local import ever runs in a process without
+SciPy.  A scan of the source checks what a process cannot: `import
+scipy.optimize` loads scipy.sparse too, so a function that uses scipy.sparse
+without importing it still runs."""
 
+import ast
 import json
 import os
 import subprocess
@@ -58,3 +62,30 @@ def test_function_local_imports_match_in_process_calls():
     exec(CALLS, namespace)
     assert namespace["results"]["_log_window_fraction_dp"] is not None  # the enumerating branch
     assert child["results"] == json.loads(json.dumps(namespace["results"]))
+
+
+def scipy_uses(func: ast.FunctionDef) -> tuple[set[str], set[str]]:
+    """The submodules `scipy.X` that func uses as attributes, and those it imports."""
+    used = {f"scipy.{node.attr}" for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "scipy"}
+    imported = {alias.name for node in ast.walk(func) if isinstance(node, ast.Import) for alias in node.names}
+    return used, imported
+
+
+def library_functions():
+    for path in sorted(Path(lpfraisse.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for func in (node.body if isinstance(node, ast.ClassDef) else [node]):
+                if isinstance(func, ast.FunctionDef):
+                    yield f"{path.stem}.{func.name}", func
+
+
+def test_each_function_imports_the_scipy_modules_it_uses():
+    missing = {}
+    for name, func in library_functions():
+        used, imported = scipy_uses(func)
+        if used - imported:
+            missing[name] = sorted(used - imported)
+    assert missing == {}
+    # the scan is not vacuous: the LP entry point uses two submodules
+    assert scipy_uses(dict(library_functions())["geometry._linprog"])[0] == {"scipy.optimize", "scipy.sparse"}

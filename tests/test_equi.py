@@ -260,12 +260,14 @@ class TestConcentration:
                 r = concentration_exact(n, s, 0.5, t / n)
                 assert r.lower <= hamming_bound_exp(n, t / n) + 1e-12
 
-    def test_harper_matches_subset_exact(self):
+    def test_harper_matches_subset_exact(self, monkeypatch):
         # the ordered-segment value agrees with brute enumeration on cubes
         for n in (2, 3, 4):
             for k_t in range(n):
-                ex = concentration_exact(n, 2, 0.5, k_t / n, subset_budget=300_000)
-                seg = concentration_exact(n, 2, 0.5, k_t / n, subset_budget=0)
+                monkeypatch.setattr(equi, "SUBSET_EXACT_BUDGET", 300_000)
+                ex = concentration_exact(n, 2, 0.5, k_t / n)
+                monkeypatch.setattr(equi, "SUBSET_EXACT_BUDGET", 0)
+                seg = concentration_exact(n, 2, 0.5, k_t / n)
                 assert seg.mode == "harper"
                 assert seg.value == pytest.approx(ex.value, abs=1e-12)
 
@@ -316,13 +318,15 @@ class TestConcentration:
                 cover = min(np.count_nonzero(equi._fatten(m, n, s, t)) for m in cands)
                 assert prof[t] == 1.0 - cover / N
 
-    def test_budget_boundary_picks_the_mode(self):
+    def test_budget_boundary_picks_the_mode(self, monkeypatch):
         # subset enumeration runs exactly when C(N, k) fits the budget
         for n, s, th in ((2, 2, 0.5), (3, 2, 0.5), (4, 2, 0.25), (2, 3, 0.3), (2, 4, 0.5)):
             N = s**n
             c = math.comb(N, max(1, math.ceil(th * N - 1e-12)))
-            assert concentration_exact(n, s, th, 1 / n, subset_budget=c).mode == "subset-exact"
-            below = concentration_exact(n, s, th, 1 / n, subset_budget=c - 1).mode
+            monkeypatch.setattr(equi, "SUBSET_EXACT_BUDGET", c)
+            assert concentration_exact(n, s, th, 1 / n).mode == "subset-exact"
+            monkeypatch.setattr(equi, "SUBSET_EXACT_BUDGET", c - 1)
+            below = concentration_exact(n, s, th, 1 / n).mode
             assert below == ("harper" if s == 2 else "candidates")
 
     def test_comb_at_most_boundary(self):
@@ -415,9 +419,10 @@ class TestCertificates:
             got_n, cert = sufficient_n_certificate(*case)
             assert (got_n, hashlib.sha256(cert.to_jsonl().encode()).hexdigest()[:16]) == (n, digest), case
 
-    def test_budget_exhaustion_reports_failing_line(self):
+    def test_budget_exhaustion_reports_failing_line(self, monkeypatch):
+        monkeypatch.setattr(equi, "CERTIFICATE_N_BUDGET", 10_000)
         with pytest.raises(CertificateSearchError) as exc:
-            sufficient_n_certificate(2, 4, 2, 1e-4, 0.1, n_budget=10_000)
+            sufficient_n_certificate(2, 4, 2, 1e-4, 0.1)
         assert exc.value.failing_line is not None
 
 

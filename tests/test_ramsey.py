@@ -70,17 +70,21 @@ class TestSpreadDP:
 
 
 class TestSpreadSearch:
-    def test_single_block(self):
+    def test_single_block(self, monkeypatch):
         # sign flips alone: the equal alternating profile shifts one slot,
         # costing 2/k, so the sampled margin clears 0.5
-        rep = spread_vector_search(1, 0.5, k_budget=6, seed=0, b_samples=40, descent_rounds=5)
+        monkeypatch.setattr(ramsey, "SPREAD_B_SAMPLES", 40)
+        monkeypatch.setattr(ramsey, "SPREAD_DESCENT_ROUNDS", 5)
+        rep = spread_vector_search(1, 0.5, k_budget=6, seed=0)
         assert rep.verified_on_sample
         assert rep.worst_error < 0.5
 
-    def test_two_blocks_reports_honestly(self):
+    def test_two_blocks_reports_honestly(self, monkeypatch):
         # k <= 6 cannot absorb the half-scale combinations; the search must
         # flag its best margin rather than claim success
-        rep = spread_vector_search(2, 0.5, k_budget=6, seed=0, b_samples=60, descent_rounds=10)
+        monkeypatch.setattr(ramsey, "SPREAD_B_SAMPLES", 60)
+        monkeypatch.setattr(ramsey, "SPREAD_DESCENT_ROUNDS", 10)
+        rep = spread_vector_search(2, 0.5, k_budget=6, seed=0)
         assert rep.witness_b is not None
         assert rep.verified_on_sample == (rep.worst_error < 0.5)
         assert rep.worst_error <= 1.0
@@ -137,9 +141,9 @@ class TestExhaustive:
         assert res.decided and not res.holds
         assert res.counterexample is not None
 
-    def test_falsification_mode(self):
-        res = exhaustive_ramsey_check(8, 2, 2, 2, 0.5, 0.0, budget=2**20,
-                                      falsification_colorings=2000, seed=3)
+    def test_falsification_mode(self, monkeypatch):
+        monkeypatch.setattr(ramsey, "EXHAUSTIVE_BUDGET", 2**20)
+        res = exhaustive_ramsey_check(8, 2, 2, 2, 0.5, 0.0, falsification_colorings=2000, seed=3)
         assert not res.decided
         assert res.holds  # no counterexample found
 
@@ -165,11 +169,14 @@ class TestCertificateFalsification:
         assert not res.holds
         assert res.counterexample == ("hash-seed", bad)
 
-    def test_batch_only_sizes_the_work(self):
+    def test_batch_only_sizes_the_work(self, monkeypatch):
         cert = equi.Certificate({"n": 8, "d": 2, "m": 4, "r": 3, "eps": 0.3, "delta": 0.1}, (), True)
-        results = {falsify_certificate(cert, colorings=2_000, seed=5, pool_per_member=64, batch=b)
-                   for b in (1, 100, 4096)}
-        assert results == {falsify_certificate(cert, colorings=2_000, seed=5, pool_per_member=64)}
+        default = falsify_certificate(cert, colorings=2_000, seed=5, pool_per_member=64)
+        results = set()
+        for b in (1, 100, 4096):
+            monkeypatch.setattr(ramsey, "FALSIFY_BATCH", b)
+            results.add(falsify_certificate(cert, colorings=2_000, seed=5, pool_per_member=64))
+        assert results == {default}
 
 
 def rigid_surjections(n: int, R: int) -> list[tuple[int, ...]]:
