@@ -246,7 +246,8 @@ def cmd_suite(args) -> tuple[dict, int]:
         with open(args.replay) as fh:
             cert = equi.Certificate.from_jsonl(fh.read())
         ok = equi.replay(cert)
-        return {"rows": [{"replay": args.replay, "ok": ok}]}, 0 if ok else 1
+        row = {"replay": args.replay, "ok": ok, "verdict": cert.verdict}
+        return {"rows": [row]}, 0 if ok and cert.verdict else 1
     names = None if args.criteria is None else args.criteria.split(",")
     results = suite.run_suite(seed=args.seed, fast=args.fast, names=names)
     for r in results:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import numpy as np
 
 SUBSET_EXACT_BUDGET = 300_000
 CERTIFICATE_N_BUDGET = 4_000_000
-EXACT_DP_CAP = 2000
+COUNT_COST_CAP = 5_000_000_000
 EXACT_SPACE_CAP = 2_000_000
 REPLAY_RTOL = 1e-12
 
@@ -136,18 +137,51 @@ def _window(n: int, s: int, delta) -> tuple[int, int]:
     return max(lo, 1), min(hi, n)  # surjectivity floors the window at 1
 
 
+class CountCostError(ValueError):
+    """count_equi refused a count whose predicted cost is over COUNT_COST_CAP."""
+
+
+def _count_admitted(n: int, s: int, lo: int, hi: int) -> bool:
+    """Whether count_equi's predicted cost over the window [lo, hi] is within
+    COUNT_COST_CAP: two big-integer products per term C(r, j) w_a(j) w_b(r - j)
+    and one starting binomial per row, times n log2(s), the bit length of s^n.
+    Row r of table a + b holds the points of [0, aW] x [0, bW] (W = hi - lo) on
+    one diagonal, so a table holds those up to its last row's diagonal."""
+    if lo > hi or s == 1:
+        return True
+    W = hi - lo
+
+    def points(a: int, b: int, u: int) -> int:  # of [0, aW] x [0, bW] with x + y <= u
+        return sum(sign * (k + 1) * (k + 2) // 2 for sign, k in
+                   ((1, u), (-1, u - a * W - 1), (-1, u - b * W - 1), (1, u - (a + b) * W - 2)) if k >= 0)
+
+    a, u = s // 2, n - s * lo
+    last = points(a, s - a, u) - points(a, s - a, u - 1)  # the terms of w_s(n)
+    terms, todo, built = 2 * last + (last > 0), {a, s - a} - {1}, set()
+    while todo:
+        c = todo.pop()
+        built.add(c)
+        rows = min(c * W, n - c * lo) + 1
+        if rows > 0:  # an empty table builds no smaller ones
+            terms += 2 * points(c // 2, c - c // 2, rows - 1) + rows
+            todo |= {c // 2, c - c // 2} - {1} - built
+    return terms * n * math.log2(s) <= COUNT_COST_CAP
+
+
 def count_equi(n: int, s: int, delta) -> tuple[int, float]:
     """Number of maps n -> s with every preimage count in the delta window,
-    exact at every n.  Returns (count, fraction of s^n).
+    exact, refused beyond _count_admitted.  Returns (count, fraction of s^n).
 
     With w_c(r) the number of maps of r points onto c colors with every count
     in the window, w_{a+b}(r) = sum_j C(r, j) w_a(j) w_b(r - j); w_s comes
     from w_floor(s/2) and w_ceil(s/2) by this convolution, each binomial row
     walked incrementally, down to w_1, the indicator of the window.
     """
+    if s < 1 or not (math.isfinite(delta) and delta >= 0):
+        raise ValueError("need s >= 1 and finite delta >= 0")
     lo, hi = _window(n, s, delta)
-    if lo > hi:
-        return 0, 0.0
+    if not _count_admitted(n, s, lo, hi):
+        raise CountCostError(f"count at n={n}, s={s}, delta={delta}: predicted cost over {COUNT_COST_CAP:.0e}")
     tables = {1: dict.fromkeys(range(lo, hi + 1), 1)}  # tables[c][r] = w_c(r), r <= n
 
     def w(a: int, b: int, r: int) -> int:
@@ -392,6 +426,9 @@ def hamming_bound_exp(n: int, eps: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
+
+
 @dataclass(frozen=True)
 class CertLine:
     description: str
@@ -401,14 +438,7 @@ class CertLine:
     space: str = "linear"  # or "log"
 
     def holds(self) -> bool:
-        ops = {
-            "<": lambda a, b: a < b,
-            "<=": lambda a, b: a <= b,
-            "==": lambda a, b: a == b,
-            ">=": lambda a, b: a >= b,
-            ">": lambda a, b: a > b,
-        }
-        return ops[self.relation](self.lhs, self.rhs)
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
 
     def to_json(self):
         return {"type": "line", "description": self.description, "lhs": _encode_log(self.lhs),
@@ -457,47 +487,20 @@ class CertificateSearchError(ValueError):
         self.failing_line = failing_line
 
 
-def _log_window_fraction_dp(n: int, s: int, delta) -> float | None:
-    """Log of the window fraction by composition enumeration in log space;
-    None when the window is too wide to enumerate cheaply."""
-    lo, hi = _window(n, s, delta)
-    if lo > hi or (hi - lo + 1) ** s > 10_000:
-        return None
-    from scipy.special import logsumexp
-
-    terms = []
-
-    def rec(color, remaining, acc):
-        if color == s - 1:
-            if lo <= remaining <= hi:
-                terms.append(acc - math.lgamma(remaining + 1))
-            return
-        for k in range(max(lo, remaining - hi * (s - color - 1)),
-                       min(hi, remaining) + 1):
-            rec(color + 1, remaining - k, acc - math.lgamma(k + 1))
-
-    rec(0, n, math.lgamma(n + 1))
-    if not terms:
-        return None
-    return float(logsumexp(terms)) - n * math.log(s)
-
-
-def _mass_lines(n: int, m: int, delta: float) -> tuple[float, list[CertLine]]:
-    """Log lower bound on the window fraction, with its provenance line."""
-    if n <= EXACT_DP_CAP:
+def _mass_line(n: int, m: int, delta: float) -> tuple[float, CertLine]:
+    """Log lower bound on the window fraction, with its provenance line: the
+    exact count wherever _count_admitted admits it, Hoeffding beyond."""
+    try:
         _, frac = count_equi(n, m, delta)
-        if frac <= 0:
-            return -math.inf, [CertLine("window fraction (exact count) positive", -math.inf, ">", 0.0, "log")]
-        lg = math.log(frac)
-        return lg, [CertLine("log window fraction, exact multinomial count", lg, "<=", lg, "log")]
-    lg = log_hoeffding_mass_bound(n, m, delta)
-    if lg > -math.inf:
-        return lg, [CertLine("log window fraction, Hoeffding two-sided union bound", lg, "<=", lg, "log")]
-    lg = _log_window_fraction_dp(n, m, delta)
-    if lg is not None:
-        lg -= 1e-9  # rounding slack on the lgamma-based sum
-        return lg, [CertLine("log window fraction, log-space composition sum", lg, "<=", lg, "log")]
-    return -math.inf, [CertLine("window fraction lower bound unavailable", -math.inf, ">", 0.0, "log")]
+    except CountCostError:
+        lg = log_hoeffding_mass_bound(n, m, delta)
+        if lg == -math.inf:
+            return lg, CertLine("window fraction (Hoeffding bound) positive", -math.inf, ">", 0.0, "log")
+        return lg, CertLine("log window fraction, Hoeffding two-sided union bound", lg, "<=", lg, "log")
+    if frac <= 0:
+        return -math.inf, CertLine("window fraction (exact count) positive", -math.inf, ">", 0.0, "log")
+    lg = math.log(frac)
+    return lg, CertLine("log window fraction, exact multinomial count", lg, "<=", lg, "log")
 
 
 def _certificate_for(d: int, m: int, r: int, eps: float, delta: float, n: int) -> Certificate:
@@ -514,22 +517,16 @@ def _certificate_for(d: int, m: int, r: int, eps: float, delta: float, n: int) -
     ]
     if r == 1:
         lines.append(CertLine("single color: any exact refinement is monochromatic", 0.0, "<=", 0.0))
-        return Certificate(
-            {"d": d, "m": m, "r": r, "eps": eps, "delta": delta, "n": n, "kind": "equi-ramsey"},
-            tuple(lines), all(l.holds() for l in lines))
-    log_mass, mass_lines = _mass_lines(n, m, delta)
-    lines += mass_lines
-    log_conc = -(eps / 2) ** 2 * n / 8
-    lines.append(CertLine(
-        "shift-rule hypothesis: log alpha(eps/2) < log(mass/r)",
-        log_conc, "<", log_mass - math.log(r), "log"))
-    lines.append(CertLine(
-        "group averaging: log alpha(eps/2) < log(mass/m!)",
-        log_conc, "<", log_mass - math.lgamma(m + 1), "log"))
-    ok = all(l.holds() for l in lines)
-    return Certificate(
-        {"d": d, "m": m, "r": r, "eps": eps, "delta": delta, "n": n, "kind": "equi-ramsey"},
-        tuple(lines), ok)
+    else:
+        log_mass, mass_line = _mass_line(n, m, delta)
+        log_conc = -(eps / 2) ** 2 * n / 8
+        lines += [mass_line,
+                  CertLine("shift-rule hypothesis: log alpha(eps/2) < log(mass/r)",
+                           log_conc, "<", log_mass - math.log(r), "log"),
+                  CertLine("group averaging: log alpha(eps/2) < log(mass/m!)",
+                           log_conc, "<", log_mass - math.lgamma(m + 1), "log")]
+    return Certificate({"d": d, "m": m, "r": r, "eps": eps, "delta": delta, "n": n, "kind": "equi-ramsey"},
+                       tuple(lines), all(l.holds() for l in lines))
 
 
 def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float) -> tuple[int, Certificate]:
@@ -537,10 +534,12 @@ def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float) -
     up to CERTIFICATE_N_BUDGET, whose assembled inequality chain certifies
     the Ramsey conclusion.
     """
+    if d < 1 or m < 1 or r < 1:
+        raise ValueError("need d, m, r >= 1")
     if m % d != 0:
         raise ValueError("need d | m")
-    if r < 1 or eps <= 0:
-        raise ValueError("need r >= 1 and eps > 0")
+    if not (math.isfinite(eps) and eps > 0 and math.isfinite(delta) and delta >= 0):
+        raise ValueError("need finite eps > 0 and finite delta >= 0")
     if r == 1:
         return m, _certificate_for(d, m, r, eps, delta, m)
     hi, n_budget = m, CERTIFICATE_N_BUDGET
@@ -565,8 +564,9 @@ def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float) -
 
 
 def replay(cert: Certificate) -> bool:
-    """Re-derive the whole chain from the header and re-evaluate every line;
-    each re-derived value must match to REPLAY_RTOL relative (absolute below 1)."""
+    """Re-derive the chain from the header: each line must match to
+    REPLAY_RTOL relative (absolute below 1), and the stored verdict must equal
+    the fresh one and the stored lines' conjunction, so honest negatives replay."""
     p = cert.payload
     if p.get("kind") != "equi-ramsey":
         raise ValueError("unknown certificate kind")
@@ -581,6 +581,4 @@ def replay(cert: Certificate) -> bool:
                 continue
             if abs(x - y) > REPLAY_RTOL * max(1.0, abs(x), abs(y)):
                 return False
-        if not b.holds():
-            return False
-    return fresh.verdict == cert.verdict
+    return cert.verdict == fresh.verdict == all(l.holds() for l in cert.lines)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,20 @@ def test_parse_refusals_name_what_they_refuse(argv, name, capsys):
     assert name in refusal(argv, capsys)
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["equi", "count", "--s", "0"], "need s >= 1"),
+    (["equi", "count", "-n", "6", "--delta", "-0.5"], "finite delta >= 0"),
+    (["equi", "count", "-n", "20000", "--s", "3", "--delta", "0.5"], "predicted cost"),
+    (["equi", "certify", "-d", "0"], "need d, m, r >= 1"),
+    (["equi", "certify", "--delta", "-0.1", "-r", "2"], "finite delta >= 0"),
+    (["equi", "certify", "--eps", "nan", "-r", "2"], "finite eps > 0"),
+])
+def test_out_of_domain_values_refused(argv, error, capsys):
+    start = time.perf_counter()
+    assert error in refusal(argv, capsys)
+    assert time.perf_counter() - start < 2
+
+
 def _subparsers(parser) -> dict:
     return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
 
@@ -198,6 +213,16 @@ def test_certify_and_replay(tmp_path):
     cert.write_text(text)
     r3 = run_cli("suite", "--replay", str(cert))
     assert r3.returncode == 1
+
+
+def test_replay_of_an_honest_negative(tmp_path, capsys):
+    from lpfraisse import cli, equi
+
+    cert = tmp_path / "cert.jsonl"
+    cert.write_text(equi._certificate_for(2, 4, 2, 0.4, 0.0, 6).to_jsonl())
+    assert cli.main(["suite", "--replay", str(cert), "--format", "json"]) == 1
+    row = {"replay": str(cert), "ok": True, "verdict": False}
+    assert json.loads(capsys.readouterr().out) == {"rows": [row]}
 
 
 @pytest.mark.parametrize("flags", [["--fast"], ["--criteria", "certificates"], ["--fast", "--criteria", ""]])

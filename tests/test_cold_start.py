@@ -35,7 +35,6 @@ results = {
     "gap_estimate": [gap.lower, gap.upper],
     "_dists_to_unit_ball": [d3.tolist(), y3.tolist()],
     "count_fraction_log": equi.count_fraction_log(60, 3, 0.3),
-    "_log_window_fraction_dp": equi._log_window_fraction_dp(20, 3, 0.3),
 }
 """
 
@@ -60,7 +59,6 @@ def test_function_local_imports_match_in_process_calls():
     assert child["before"] == []
     namespace = {}
     exec(CALLS, namespace)
-    assert namespace["results"]["_log_window_fraction_dp"] is not None  # the enumerating branch
     assert child["results"] == json.loads(json.dumps(namespace["results"]))
 
 

@@ -230,6 +230,69 @@ class TestCounting:
         for case in ((1, 1, 0.0), (1, 2, 1.0), (2, 2, 0.0), (6, 3, 0.0), (9, 3, 0.5)):
             assert repr(count_equi(*case)) == repr(_multinomial_recursion(*case))
 
+    def test_cost_gate_counts_count_equi_terms(self, monkeypatch):
+        # the closed form predicts exactly the terms of a walk of count_equi's
+        # rows: the count is admitted at a cap equal to its cost, refused just below
+        rng = rng_from_seed(21)
+        for _ in range(300):
+            n, s = int(rng.integers(1, 300)), int(rng.integers(2, 10))
+            delta = float(rng.choice([0.0, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0]))
+            lo, hi = equi._window(n, s, delta)
+            if lo > hi:
+                continue
+            cost = _walked_terms(n, s, lo, hi) * n * math.log2(s)
+            monkeypatch.setattr(equi, "COUNT_COST_CAP", cost)
+            assert equi._count_admitted(n, s, lo, hi), (n, s, delta)
+            monkeypatch.setattr(equi, "COUNT_COST_CAP", math.nextafter(cost, 0))
+            assert not equi._count_admitted(n, s, lo, hi), (n, s, delta)
+
+    def test_cost_gate_admits_the_counts_in_use(self):
+        # every count of the battery, the pinned searches and the benchmark's
+        # count families; a wider window only adds terms, so delta = 0.2
+        # covers every delta <= 0.2 at the same (n, s)
+        for s in range(1, 7):
+            for n in range(1, 2001):
+                assert equi._count_admitted(n, s, *equi._window(n, s, 0.2)), (n, s)
+        for n, s, delta in ((1550, 2, 0.25), (470, 3, 0.25), (1536, 6, 0.2), (1000, 3, 0.3)):
+            assert equi._count_admitted(n, s, *equi._window(n, s, delta)), (n, s, delta)
+
+    def test_refused_over_the_cap_before_allocating(self):
+        import tracemalloc
+
+        # predicted 4e10 (about 8 s to count) and 3e12
+        for case in ((2000, 7, 2.0), (20000, 3, 0.5)):
+            tracemalloc.start()
+            with pytest.raises(equi.CountCostError, match="predicted cost"):
+                count_equi(*case)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 100_000, case
+
+    @pytest.mark.parametrize("case", [(6, 0, 0.5), (6, -1, 0.5), (6, 2, -0.5), (6, 2, math.nan),
+                                      (6, 2, math.inf)])
+    def test_domain_refused(self, case):
+        with pytest.raises(ValueError, match="need s >= 1 and finite delta >= 0"):
+            count_equi(*case)
+
+
+def _walked_terms(n, s, lo, hi):
+    """Reference for the cost gate: count_equi's rows walked one by one, two
+    products per term and one starting binomial per nonempty row, each table
+    built on its first use."""
+    built = set()
+
+    def w(a, b, r):
+        j0, j1 = max(a * lo, r - b * hi), min(a * hi, r - b * lo)
+        return table(a) + table(b) + (2 * (j1 - j0 + 1) + 1 if j0 <= j1 else 0)
+
+    def table(c):
+        if c == 1 or c in built:
+            return 0
+        built.add(c)
+        return sum(w(c // 2, c - c // 2, r) for r in range(c * lo, min(c * hi, n) + 1))
+
+    return w(s // 2, s - s // 2, n)
+
 
 def _multinomial_recursion(n, s, delta):
     """Reference: the memoised sum over the count k of one color at a time,
@@ -391,6 +454,27 @@ class TestCertificates:
         _, cert = sufficient_n_certificate(2, 2, 2, 0.6, 0.2)
         text = cert.to_jsonl().replace('"ok": true', '"ok": false')
         assert not replay(Certificate.from_jsonl(text))
+
+    def test_exact_counts_past_n_2000(self):
+        # the cost gate admits these counts; a fixed cap at n = 2000 fell to
+        # Hoeffding, vacuous here, and certified n = 41,592 and 17,892
+        for case, n in (((2, 4, 2, 0.4, 0.02), 1352), ((2, 6, 2, 0.4, 0.05), 1782)):
+            got_n, cert = sufficient_n_certificate(*case)
+            assert got_n == n and cert.verdict and replay(cert)
+            assert cert.lines[2].description == "log window fraction, exact multinomial count"
+
+    def test_honest_negative_replays(self):
+        # an empty window at n = 6: the chain fails and says so
+        cert = equi._certificate_for(2, 4, 2, 0.4, 0.0, 6)
+        assert not cert.verdict and replay(cert)
+        assert not replay(Certificate(cert.payload, cert.lines, True))
+
+    @pytest.mark.parametrize("case", [(0, 2, 2, 0.4, 0.1), (1, 0, 2, 0.4, 0.1), (2, 4, 0, 0.4, 0.1),
+                                      (2, 4, 2, 0.4, -0.1), (2, 4, 2, 0.4, math.inf), (2, 4, 2, 0.0, 0.1),
+                                      (2, 4, 2, math.nan, 0.1), (2, 4, 2, math.inf, 0.1)])
+    def test_domain_refused(self, case):
+        with pytest.raises(ValueError, match="need"):
+            sufficient_n_certificate(*case)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
