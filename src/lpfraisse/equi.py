@@ -379,6 +379,8 @@ def concentration_exact(n: int, s: int, theta: float, eps: float) -> Concentrati
     certified lower bound ("candidates").  Beyond the space cap only the
     trivial bracket [0, 1 - theta] is returned ("trivial").
     """
+    if not (0 < theta <= 1 and math.isfinite(eps) and eps >= 0):
+        raise ValueError("need 0 < theta <= 1 and finite eps >= 0")
     N = s**n
     k = max(1, math.ceil(theta * N - 1e-12))
     steps = int(math.floor(eps * n + 1e-12))
@@ -509,8 +511,15 @@ def _certificate_for(d: int, m: int, r: int, eps: float, delta: float, n: int) -
     Derived chain with explicit constants: split eps = eps/2 + eps/2; the
     product-space bound exp(-(eps/2)^2 n / 8) must undercut both the smallest
     admissible color-class measure (shift-rule hypothesis) and the
-    group-averaging margin mass/m!.
+    group-averaging margin mass/m!.  Parameters outside the search's domain
+    are refused, so a search and a replay share one check.
     """
+    if d < 1 or m < 1 or r < 1:
+        raise ValueError("need d, m, r >= 1")
+    if m % d != 0:
+        raise ValueError("need d | m")
+    if not (math.isfinite(eps) and eps > 0 and math.isfinite(delta) and delta >= 0):
+        raise ValueError("need finite eps > 0 and finite delta >= 0")
     lines = [
         CertLine("d divides m", float(m % d), "==", 0.0),
         CertLine("m divides n", float(n % m), "==", 0.0),
@@ -534,12 +543,6 @@ def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float) -
     up to CERTIFICATE_N_BUDGET, whose assembled inequality chain certifies
     the Ramsey conclusion.
     """
-    if d < 1 or m < 1 or r < 1:
-        raise ValueError("need d, m, r >= 1")
-    if m % d != 0:
-        raise ValueError("need d | m")
-    if not (math.isfinite(eps) and eps > 0 and math.isfinite(delta) and delta >= 0):
-        raise ValueError("need finite eps > 0 and finite delta >= 0")
     if r == 1:
         return m, _certificate_for(d, m, r, eps, delta, m)
     hi, n_budget = m, CERTIFICATE_N_BUDGET
@@ -566,11 +569,16 @@ def sufficient_n_certificate(d: int, m: int, r: int, eps: float, delta: float) -
 def replay(cert: Certificate) -> bool:
     """Re-derive the chain from the header: each line must match to
     REPLAY_RTOL relative (absolute below 1), and the stored verdict must equal
-    the fresh one and the stored lines' conjunction, so honest negatives replay."""
-    p = cert.payload
+    the fresh one and the stored lines' conjunction, so honest negatives replay.
+    A header with a key missing or outside the search's domain is refused."""
+    p = cert.payload or {}
     if p.get("kind") != "equi-ramsey":
         raise ValueError("unknown certificate kind")
-    fresh = _certificate_for(p["d"], p["m"], p["r"], p["eps"], p["delta"], p["n"])
+    d, m, r, eps, delta, n = (p.get(key) for key in ("d", "m", "r", "eps", "delta", "n"))
+    if any(type(v) is not int for v in (d, m, r, n)) or n < 1 \
+            or any(type(v) not in (int, float) for v in (eps, delta)):
+        raise ValueError("certificate header needs integers d, m, r, n >= 1 and numbers eps, delta")
+    fresh = _certificate_for(d, m, r, eps, delta, n)
     if len(fresh.lines) != len(cert.lines):
         return False
     for a, b in zip(fresh.lines, cert.lines):

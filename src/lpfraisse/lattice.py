@@ -13,6 +13,7 @@ no rounding algorithm is provided for that unconstrained statement here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,8 @@ def predicates(gamma: MSpaceMap, delta: float) -> PredicateReport:
     within the delta-isometry window (certified for disjoint-ish columns,
     where the extreme gains are the column norms).
     """
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError("need finite delta >= 0")
     A = np.abs(gamma.matrix)
     m = gamma.domain_dim
     disjoint = True

@@ -8,6 +8,7 @@ so the transform is exact on that representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,6 +106,8 @@ def transfer_instance(d: int, m: int, r: int, eps: float, p, q) -> TransferredIn
     error becomes tau_{p,q}(eps).  Witness families transport through
     mazur_embedding with the same modulus.
     """
+    if not (math.isfinite(eps) and eps >= 0):
+        raise ValueError("need finite eps >= 0")
     p, q = PIndex.of(p), PIndex.of(q)
     if p.is_inf or q.is_inf:
         raise ValueError("transfer requires finite p, q")

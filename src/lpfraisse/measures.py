@@ -101,21 +101,6 @@ class DiscreteMeasure:
         return cls(pts, ms)
 
 
-@dataclass(frozen=True)
-class PCharGrid:
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[0] == 0:
-            raise ValueError("grid must be nonempty")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def line(cls, lo: float, hi: float, count: int) -> "PCharGrid":
-        return cls(np.linspace(lo, hi, count)[:, None])
-
-
 def p_characteristic(mu: DiscreteMeasure, a, p) -> float:
     """(integral of |1 + <a, z>|^p dmu)^(1/p)."""
     pf = float(PIndex.of(p))
@@ -124,9 +109,9 @@ def p_characteristic(mu: DiscreteMeasure, a, p) -> float:
     return float(np.sum(mu.masses * vals) ** (1 / pf))
 
 
-def p_characteristic_grid(mu: DiscreteMeasure, grid: PCharGrid, p) -> np.ndarray:
+def p_characteristic_grid(mu: DiscreteMeasure, grid: np.ndarray, p) -> np.ndarray:
     pf = float(PIndex.of(p))
-    inner = 1.0 + grid.points @ mu.points.T  # (g, m)
+    inner = 1.0 + grid @ mu.points.T  # (g, m)
     return np.sum(mu.masses[None, :] * np.abs(inner) ** pf, axis=1) ** (1 / pf)
 
 
@@ -398,13 +383,13 @@ def even_p_counterexample(p: int) -> CounterexampleReport:
     half = p // 2 + 1
     points = [Fraction(i) for i in range(-half, half + 1)]
     mu, nu = _split_null_vector(points, _rational_null_vector(points, p))
-    grid = PCharGrid.line(-CHAR_GRID_RADIUS, CHAR_GRID_RADIUS, CHAR_GRID_COUNT)
+    grid = np.linspace(-CHAR_GRID_RADIUS, CHAR_GRID_RADIUS, CHAR_GRID_COUNT)[:, None]
     gap = float(np.max(np.abs(p_characteristic_grid(mu, grid, p) - p_characteristic_grid(nu, grid, p))))
     lp = levy_prokhorov(mu, nu).value
     return CounterexampleReport(mu, nu, gap, lp)
 
 
-def _kink_adapted_grid(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PCharGrid:
+def _kink_adapted_grid(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """Evaluation points that localize characteristic differences: the map
     a -> |1 + a z| has its only nonsmooth point at a = -1/z, so two measures
     with different atoms must disagree near some kink; we take all kinks,
@@ -419,7 +404,7 @@ def _kink_adapted_grid(mu: DiscreteMeasure, nu: DiscreteMeasure) -> PCharGrid:
     lo = kinks[0] - 1 if len(kinks) else -4.0
     hi = kinks[-1] + 1 if len(kinks) else 4.0
     pts.append(np.linspace(lo, hi, KINK_BACKGROUND_POINTS))
-    return PCharGrid(np.concatenate(pts)[:, None])
+    return np.concatenate(pts)[:, None]
 
 
 def odd_p_falsification_search(p: int, trials: int, seed: int):

@@ -194,8 +194,7 @@ def envelope(basis_vals: np.ndarray, space: DiscreteSpace, eps: float, p,
     if np.linalg.norm(B @ sol - ones) > 1e-8:
         raise ValueError("constant function must lie in the span of the basis")
     sub, scale = _weighted_subspace(B, space, p)
-    au = auerbach_basis(sub, restarts=3, seed=seed, check_samples=500, ascent_rounds=10)
-    F = au.vectors / scale[:, None]  # back to plain function values
+    F = auerbach_basis(sub, restarts=3, seed=seed, ascent_rounds=10) / scale[:, None]  # plain function values
 
     part, pb = build_appropriate(F.T, space, eps / (6 * k), p)
     keys = pb.positive_keys

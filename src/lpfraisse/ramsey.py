@@ -125,6 +125,8 @@ def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0) -
     """Heuristic profile search maximizing the worst-case DP margin over a
     seeded sample of unit combinations of the block vectors.  Evidence is
     sampled only; no universal claim is made."""
+    if k_budget < 2:
+        raise ValueError("need k_budget >= 2")
     rng = rng_from_seed(seed)
 
     def worst_error(a: SpreadVector) -> tuple[float, np.ndarray]:
@@ -224,6 +226,8 @@ def exhaustive_ramsey_check(n: int, d: int, m: int, r: int, eps: float, delta: f
     """Decide (or randomly probe) the tiny-scale Ramsey statement: every
     r-coloring of the delta-window maps n -> d admits R in Equi(n, m) whose
     Equi_delta(m, d)-orbit lies in one (delta+eps)-fattened color class."""
+    if min(n, d, m, r) < 1 or not (math.isfinite(eps) and eps >= 0 and math.isfinite(delta) and delta >= 0):
+        raise ValueError("need n, d, m, r >= 1 and finite eps, delta >= 0")
     if n % m != 0 or m % d != 0:
         raise ValueError("need d | m | n")
     universe = enumerate_equi(n, d, delta)
@@ -567,6 +571,8 @@ def dual_ramsey_demo(d: int, m: int, e: int, seed: int = 0) -> DualRamseyDemo:
     verifies both rigidity and the bound.  Guarded to d, m, e <= 2; larger
     parameters are rejected with a size estimate.
     """
+    if min(d, m, e) < 1:
+        raise ValueError("need d, m, e >= 1")
     if d > 2 or m > 2 or e > 2:
         delta_size = 2 * e * d + 1
         lam = delta_size * math.perm(m, d) * 2**d

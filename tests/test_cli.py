@@ -1,5 +1,6 @@
 import argparse
 import ast
+import io
 import json
 import math
 import os
@@ -146,8 +147,23 @@ def test_parse_refusals_name_what_they_refuse(argv, name, capsys):
     (["equi", "certify", "-d", "0"], "need d, m, r >= 1"),
     (["equi", "certify", "--delta", "-0.1", "-r", "2"], "finite delta >= 0"),
     (["equi", "certify", "--eps", "nan", "-r", "2"], "finite eps > 0"),
+    (["equi", "alpha", "--theta", "1.5"], "need 0 < theta <= 1"),
+    (["equi", "alpha", "--theta", "0"], "need 0 < theta <= 1"),
+    (["equi", "alpha", "--eps", "-1"], "finite eps >= 0"),
+    (["lattice", "round", "--delta", "-1", "--input", "-"], "finite delta >= 0"),
+    (["lattice", "check", "--delta", "-1", "--input", "-"], "finite delta >= 0"),
+    (["lattice", "round", "--delta", "inf", "--input", "-"], "finite delta >= 0"),
+    (["ramsey", "check", "-m", "0"], "need n, d, m, r >= 1 and finite"),
+    (["ramsey", "check", "-d", "0"], "need n, d, m, r >= 1 and finite"),
+    (["ramsey", "check", "-r", "0"], "need n, d, m, r >= 1 and finite"),
+    (["ramsey", "check", "--eps", "-1"], "finite eps, delta >= 0"),
+    (["ramsey", "check", "--delta", "nan"], "finite eps, delta >= 0"),
+    (["ramsey", "demo", "-e", "0"], "need d, m, e >= 1"),
+    (["ramsey", "search", "-m", "2", "--eps", "0.5", "--k-budget", "0"], "need k_budget >= 2"),
+    (["mazur", "transfer", "--p", "1", "--q", "2", "--eps", "-0.1"], "finite eps >= 0"),
 ])
-def test_out_of_domain_values_refused(argv, error, capsys):
+def test_out_of_domain_values_refused(argv, error, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("[[0.98], [0.35], [-0.02]]"))
     start = time.perf_counter()
     assert error in refusal(argv, capsys)
     assert time.perf_counter() - start < 2
@@ -223,6 +239,27 @@ def test_replay_of_an_honest_negative(tmp_path, capsys):
     assert cli.main(["suite", "--replay", str(cert), "--format", "json"]) == 1
     row = {"replay": str(cert), "ok": True, "verdict": False}
     assert json.loads(capsys.readouterr().out) == {"rows": [row]}
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("d", 0, "need d, m, r >= 1"),
+    ("d", None, "header needs integers d, m, r, n >= 1"),  # None drops the key
+    ("n", 0, "header needs integers d, m, r, n >= 1"),
+    ("m", 4.0, "header needs integers d, m, r, n >= 1"),
+    ("m", 3, "need d | m"),
+])
+def test_replay_refuses_a_malformed_header(tmp_path, capsys, key, value, error):
+    from lpfraisse import equi
+
+    header, *rest = equi._certificate_for(2, 4, 2, 0.4, 0.1, 8).to_jsonl().splitlines()
+    header = json.loads(header)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    cert = tmp_path / "cert.jsonl"
+    cert.write_text("\n".join([json.dumps(header), *rest]) + "\n")
+    assert error in refusal(["suite", "--replay", str(cert)], capsys)
 
 
 @pytest.mark.parametrize("flags", [["--fast"], ["--criteria", "certificates"], ["--fast", "--criteria", ""]])

@@ -9,8 +9,8 @@ from scipy.spatial.distance import cdist
 from lpfraisse import geometry
 from lpfraisse.core import PIndex, norm_p, rng_from_seed
 from lpfraisse.geometry import (
-    AuerbachResult, GapPreconditionError, Subspace, _dists_to_unit_ball, _dual_norm_argmax,
-    _linprog, auerbach_basis, bm_from_gap, dist_to_unit_ball, gap_estimate,
+    GapPreconditionError, Subspace, _dists_to_unit_ball, _dual_norm_argmax, _linprog,
+    auerbach_basis, bm_from_gap, dist_to_unit_ball, functional_norms, gap_estimate,
 )
 from lpfraisse.spaces import VectorP
 
@@ -293,7 +293,7 @@ class TestDualNormArgmax:
             assert np.max(norm_p(C @ Y.basis.T, PIndex.of(p), axis=1)) <= 1 + 1e-9
 
 
-def auerbach_per_restart(X, restarts, seed, check_samples=2000, ascent_rounds=30):
+def auerbach_per_restart(X, restarts, seed, ascent_rounds=30):
     """`auerbach_basis` at p != 2 as it ran before its restarts were stacked:
     one restart and one cofactor at a time (a test-only oracle)."""
     k = X.dim
@@ -329,12 +329,39 @@ def auerbach_per_restart(X, restarts, seed, check_samples=2000, ascent_rounds=30
     vecs = B @ best_C
     for j in range(k):
         vecs[:, j] /= norm_p(vecs[:, j], p)
-    coeffs = rng.standard_normal((check_samples, k))
-    coeffs /= np.max(np.abs(coeffs), axis=1)[:, None]
-    nv = norm_p((vecs @ coeffs.T).T, p, axis=1)
-    with np.errstate(divide="ignore"):
-        worst = float(np.max(np.max(np.abs(coeffs), axis=1) / nv))
-    return AuerbachResult(vecs, max(0.0, worst - 1.0))
+    return vecs
+
+
+def circle_ratios(X, count=4000):
+    """max over a dense coefficient circle of |a_j| / ||sum_i a_i x_i||_p,
+    for each j: a lower bound on each functional norm."""
+    th = np.linspace(0, 2 * np.pi, count, endpoint=False)
+    coeffs = np.stack([np.cos(th), np.sin(th)], axis=1)
+    norms = norm_p(coeffs @ X.basis.T, X.ambient_p, axis=1)
+    return np.max(np.abs(coeffs) / norms[:, None], axis=0)
+
+
+class TestFunctionalNorms:
+    @pytest.mark.parametrize("p, basis, expected", [
+        (None, [[1.0, 1.0], [0.0, 1.0]], [2.0, 1.0]),
+        (1, [[1.0, 0.5], [0.0, 0.5]], [1.0, 2.0]),
+        (2, [[1.0, 2**-0.5], [0.0, 2**-0.5]], [2**0.5, 2**0.5]),
+    ])
+    def test_closed_form_planes(self, p, basis, expected):
+        X = Subspace(2, PIndex.of(p), np.array(basis))
+        assert functional_norms(X) == pytest.approx(expected, rel=1e-9)
+
+    def test_one_dimensional(self):
+        X = Subspace(3, PIndex.of(3), np.array([[2.0], [0.0], [-1.0]]))
+        assert functional_norms(X) == pytest.approx([9 ** (-1 / 3)], rel=1e-15)
+
+    def test_dense_circle_at_p3(self):
+        X = Subspace(4, PIndex.of(3), rng_from_seed(12).standard_normal((4, 2)))
+        exact, sampled = functional_norms(X), circle_ratios(X)
+        # the circle never beats the exact norms, and comes close to both
+        assert np.all(sampled <= exact + 1e-9)
+        assert np.all(sampled >= exact - 1e-4)
+        assert abs(exact[0] - exact[1]) > 1e-2
 
 
 # |det| of the coefficient matrix of the basis the coordinate ascent found at
@@ -346,35 +373,36 @@ class TestAuerbach:
     def test_unit_basis_is_auerbach(self):
         for p in (1, 2, None):
             X = coord_subspace(3, p, [0, 1, 2])
-            res = auerbach_basis(X, restarts=4, seed=0)
-            assert res.defect <= 1e-9
+            vecs = auerbach_basis(X, restarts=4, seed=0)
+            assert np.max(functional_norms(Subspace(3, PIndex.of(p), vecs))) <= 1 + 1e-9
 
     def test_one_dimensional(self):
         X = Subspace(3, PIndex.of(1), np.array([[2.0], [0.0], [0.0]]))
-        res = auerbach_basis(X)
-        assert np.abs(res.vectors[0, 0]) == pytest.approx(1.0)
+        vecs = auerbach_basis(X)
+        assert np.abs(vecs[0, 0]) == pytest.approx(1.0)
 
     def test_random_2dim_l1_defect(self):
         rng = rng_from_seed(8)
         X = Subspace(4, PIndex.of(1), rng.standard_normal((4, 2)))
-        res = auerbach_basis(X, restarts=8, seed=1)
-        # dense 2-dim coefficient grid oracle
-        th = np.linspace(0, 2 * np.pi, 4000, endpoint=False)
-        coeffs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        coeffs /= np.max(np.abs(coeffs), axis=1)[:, None]
-        worst = 0.0
-        for a in coeffs:
-            v = res.vectors @ a
-            worst = max(worst, np.max(np.abs(a)) / np.sum(np.abs(v)))
-        assert worst - 1 <= max(res.defect, 0) + 1e-6
+        au = Subspace(4, X.ambient_p, auerbach_basis(X, restarts=8, seed=1))
+        # the dense coefficient circle never finds a larger defect than the exact norms
+        assert np.max(circle_ratios(au)) <= np.max(functional_norms(au)) + 1e-9
+
+    @pytest.mark.parametrize("p", [1, 3, None])
+    def test_random_plane_is_nearly_auerbach(self, p):
+        rng = rng_from_seed(8)
+        X = Subspace(4, PIndex.of(p), rng.standard_normal((4, 2)))
+        vecs = auerbach_basis(X, restarts=8, seed=1)
+        norms = functional_norms(Subspace(4, X.ambient_p, vecs))
+        assert np.all(norms >= 1 - 1e-9) and np.all(norms <= 1 + 1e-3)
 
     @pytest.mark.parametrize("n, k", sorted(ASCENT_VOLUMES))
     def test_euclidean_qr_basis(self, n, k):
         B = rng_from_seed(40 + k).standard_normal((n, k))
-        res = auerbach_basis(Subspace(n, PIndex.of(2), B))
-        assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0, atol=1e-12)
-        assert res.defect == 0.0
-        volume = abs(np.linalg.det(np.linalg.lstsq(B, res.vectors, rcond=None)[0]))
+        vecs = auerbach_basis(Subspace(n, PIndex.of(2), B))
+        assert np.allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-12)
+        assert functional_norms(Subspace(n, PIndex.of(2), vecs)) == pytest.approx(np.ones(k), abs=1e-12)
+        volume = abs(np.linalg.det(np.linalg.lstsq(B, vecs, rcond=None)[0]))
         assert volume >= ASCENT_VOLUMES[n, k] - 1e-12
 
 
@@ -384,10 +412,8 @@ class TestAuerbach:
     def test_stacked_ascent_matches_per_restart_loop(self, p, k, restarts):
         rng = rng_from_seed(80 + k)
         X = Subspace(k + 3, PIndex.of(p), rng.standard_normal((k + 3, k)))
-        res = auerbach_basis(X, restarts=restarts, seed=k)
-        ref = auerbach_per_restart(X, restarts, seed=k)
-        assert np.array_equal(res.vectors, ref.vectors)
-        assert res.defect == ref.defect
+        vecs = auerbach_basis(X, restarts=restarts, seed=k)
+        assert np.array_equal(vecs, auerbach_per_restart(X, restarts, seed=k))
 
 
 class TestBmBridge:
