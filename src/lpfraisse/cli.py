@@ -77,7 +77,7 @@ def cmd_geometry(args) -> dict:
     Y = geometry.Subspace.from_json(_read_json(args.y))
     if args.action == "gap":
         g = geometry.gap_estimate(X, Y, budget=args.budget_samples, seed=args.seed)
-        return {"rows": [{"lower": g.lower, "upper": g.upper, "samples": g.samples,
+        return {"rows": [{"lower": g.lower, "upper": g.upper, "samples": args.budget_samples,
                           "seed": args.seed, "certified": False}]}
     if args.action == "bm":
         try:
@@ -220,7 +220,7 @@ def cmd_ramsey(args) -> dict:
     if args.action == "demo":
         rep = ramsey.dual_ramsey_demo(args.d, args.m, args.e, seed=args.seed)
         return {"n": rep.n, "eps": rep.eps, "h_rigid": rep.h_rigid,
-                "approx_error": rep.approx_error, "ok": rep.ok}
+                "approx_error": rep.approx_error, "ok": rep.ok, "seed": args.seed}
 
 
 def cmd_lattice(args) -> dict:

@@ -70,10 +70,6 @@ def frac_to_json(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def frac_from_json(s) -> Fraction:
-    return Fraction(s)
-
-
 def rng_from_seed(seed: int) -> np.random.Generator:
     """One seeded generator; workers derive independent streams via spawn."""
     return np.random.default_rng(np.random.PCG64(seed))

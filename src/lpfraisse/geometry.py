@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lpfraisse.core import PIndex, norm_p, rng_from_seed
-from lpfraisse.spaces import LinearMap, VectorP
+from lpfraisse.spaces import VectorP
 
 
 class GapPreconditionError(ValueError):
@@ -231,7 +231,6 @@ def dist_to_unit_ball(x: VectorP, Y: Subspace, return_minimizer: bool = False):
 class GapEstimate:
     lower: float
     upper: float
-    samples: int
 
 
 def gap_estimate(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0,
@@ -262,7 +261,7 @@ def gap_estimate(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0,
         probes = A.sphere_sample(rng, 4 * budget)
         nearest, _ = scipy.spatial.cKDTree(pts).query(probes, k=1, p=float(X.ambient_p))
         mesh = max(mesh, float(np.max(nearest)))
-    return GapEstimate(lower, lower + 2 * mesh, budget)
+    return GapEstimate(lower, lower + 2 * mesh)
 
 
 def _newton_argmax(g: np.ndarray, B: np.ndarray, Mi: np.ndarray, p: float) -> np.ndarray:
@@ -430,18 +429,17 @@ def auerbach_basis(X: Subspace, restarts: int = 16, seed: int = 0, ascent_rounds
 
 @dataclass(frozen=True)
 class BmBridge:
-    theta: LinearMap          # coefficient action from the Auerbach basis of X to Y points
-    x_points: np.ndarray      # (n, k) Auerbach basis vectors
-    y_points: np.ndarray      # (n, k) matched ball points of Y
     displacement: float       # max_j ||x_j - y_j||
     bound: float              # certified log(||theta|| ||theta^-1||) bound
     gap: GapEstimate
 
 
 def bm_from_gap(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0) -> BmBridge:
-    """Isomorphism theta: x_j -> y_j built from an Auerbach basis and nearest
-    ball points, with the certified Banach-Mazur bound log(|theta||theta^-1|)
-    <= 4k * Lambda_upper valid whenever the measured gap is below 1/(2k).
+    """Certified Banach-Mazur bound for the isomorphism theta: x_j -> y_j
+    that sends an Auerbach basis of X to the nearest points of Y's unit
+    ball: log(||theta|| ||theta^-1||) <= 4k * Lambda_upper whenever the
+    measured gap is below 1/(2k).  Only the bound, the displacement
+    max_j ||x_j - y_j|| and the gap are returned; theta itself is not built.
     The Auerbach defect max(0, max_j ||x_j*|| - 1) widening it is the
     solver-exact primal value of `functional_norms`, not yet certified.
     """
@@ -456,6 +454,4 @@ def bm_from_gap(X: Subspace, Y: Subspace, budget: int = 64, seed: int = 0) -> Bm
     kd = k * dmax * (1 + defect)
     if kd >= 1:
         raise GapPreconditionError(gap.upper, 1 / (2 * k))
-    bound = float(np.log((1 + kd) / (1 - kd)))
-    theta = LinearMap(ys, X.ambient_p, Y.ambient_p)  # columns = images of the Auerbach basis
-    return BmBridge(theta, xs, ys, dmax, bound, gap)
+    return BmBridge(dmax, float(np.log((1 + kd) / (1 - kd))), gap)

@@ -59,15 +59,6 @@ class BoxPartition:
         }
 
 
-@dataclass(frozen=True)
-class PullbackPartition:
-    cells: dict[tuple[int, ...], tuple[int, ...]]  # cell key -> atom indices
-
-    @property
-    def positive_keys(self) -> list[tuple[int, ...]]:
-        return sorted(self.cells.keys())
-
-
 def _snap_off(value: float, taken: set[float]) -> float:
     step = max(abs(value), 1.0) * 2.0 ** -40
     while value in taken:
@@ -104,8 +95,9 @@ def _axis_breakpoints(values: np.ndarray, K: float, width: float) -> tuple[float
 
 
 def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
-                      ) -> tuple[BoxPartition, PullbackPartition]:
-    """(eps, K)-appropriate box partition for the functions F plus its pullback.
+                      ) -> tuple[BoxPartition, dict[tuple[int, ...], tuple[int, ...]]]:
+    """(eps, K)-appropriate box partition for the functions F, and its
+    pullback: the atoms of each box that holds some, `BoxPartition.cells_of`.
 
     K is the smallest value on the dyadic grid max|f| * 2^-i whose tail weight
     stays below eps^p/3; bounded axis intervals have width strictly below
@@ -136,16 +128,19 @@ def build_appropriate(values: np.ndarray, space: DiscreteSpace, eps: float, p
     width = eps / (3 * total) ** (1 / pf)
     breakpoints = tuple(_axis_breakpoints(row, K, width) for row in values)
     part = BoxPartition(nfun, K, eps, breakpoints)
-    return part, PullbackPartition(part.cells_of(values))
+    return part, part.cells_of(values)
 
 
-def conditional_expectation(f: np.ndarray, pullback: PullbackPartition, space: DiscreteSpace) -> np.ndarray:
-    """Mass-weighted cell averages; a norm-one projection by Jensen.  Atoms
-    run along axis 0; extra trailing axes hold further functions."""
+def conditional_expectation(f: np.ndarray, cells: dict[tuple[int, ...], tuple[int, ...]],
+                            space: DiscreteSpace) -> np.ndarray:
+    """Mass-weighted averages over the atoms of each cell of `cells` (cell key
+    -> atom indices, as `build_appropriate` returns them); a norm-one
+    projection by Jensen.  Atoms run along axis 0; extra trailing axes hold
+    further functions."""
     f = np.asarray(f, dtype=float)
     masses = space.masses
     out = np.empty_like(f)
-    for atoms in pullback.cells.values():
+    for atoms in cells.values():
         idx = list(atoms)
         w = masses[idx]
         out[idx] = np.sum(w.reshape((-1,) + (1,) * (f.ndim - 1)) * f[idx], axis=0) / np.sum(w)
@@ -156,9 +151,7 @@ def conditional_expectation(f: np.ndarray, pullback: PullbackPartition, space: D
 class Envelope:
     space: DiscreteSpace
     p: PIndex
-    eps: float
     partition: BoxPartition
-    pullback: PullbackPartition
     cell_keys: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]          # exact cell masses
     basis: np.ndarray                      # (atoms, k) Auerbach-normalized functions
@@ -196,19 +189,19 @@ def envelope(basis_vals: np.ndarray, space: DiscreteSpace, eps: float, p,
     sub, scale = _weighted_subspace(B, space, p)
     F = auerbach_basis(sub, restarts=3, seed=seed, ascent_rounds=10) / scale[:, None]  # plain function values
 
-    part, pb = build_appropriate(F.T, space, eps / (6 * k), p)
-    keys = pb.positive_keys
-    masses_exact = {key: sum((space.atoms[a][1] for a in pb.cells[key]), Fraction(0)) for key in keys}
-    xi = conditional_expectation(F, pb, space)[[pb.cells[key][0] for key in keys]]
+    part, cells = build_appropriate(F.T, space, eps / (6 * k), p)
+    keys = sorted(cells)
+    masses_exact = {key: sum((space.atoms[a][1] for a in cells[key]), Fraction(0)) for key in keys}
+    xi = conditional_expectation(F, cells, space)[[cells[key][0] for key in keys]]
 
     rng = rng_from_seed(seed + 1)
     f = F @ rng.standard_normal((samples, k)).T  # (atoms, samples)
     nf = space.norm(f, p)
-    ef = conditional_expectation(f, pb, space)
+    ef = conditional_expectation(f, cells, space)
     ef -= f
     keep = nf > 1e-12
     defect = float(np.max(space.norm(ef, p)[keep] / nf[keep], initial=0.0))
-    env = Envelope(space, p, eps, part, pb, tuple(keys), tuple(masses_exact[kk] for kk in keys),
+    env = Envelope(space, p, part, tuple(keys), tuple(masses_exact[kk] for kk in keys),
                    F, xi, defect)
     if defect > eps:
         raise AssertionError(f"envelope defect {defect:.3g} exceeds eps {eps:.3g}")

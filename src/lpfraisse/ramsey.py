@@ -14,10 +14,15 @@ from fractions import Fraction
 import numpy as np
 
 from lpfraisse.core import PIndex, rng_from_seed
-from lpfraisse.equi import Certificate, canonical_exact, _window
+from lpfraisse.equi import Certificate, canonical_exact, count_equi, _window
 from lpfraisse.spaces import ColumnEntry, LampertiEmbedding
 
 EXHAUSTIVE_BUDGET = 2**24
+# points n, and maps of each of its universe, Equi_delta(m, d) and
+# Equi(n, m), that exhaustive_ramsey_check enumerates, at most; it counts
+# the maps first.  The Hamming balls of a universe of U maps take U^2 n
+# comparisons, and count_equi's cost grows with n
+ENUMERATION_CAP = 4096
 FALSIFY_BATCH = 4096  # colorings evaluated at once by falsify_certificate, at most
 SPREAD_B_SAMPLES = 200  # sampled unit combinations per profile of spread_vector_search
 SPREAD_DESCENT_ROUNDS = 40  # perturbations tried per seed profile
@@ -116,7 +121,6 @@ class SpreadSearchReport:
     a: SpreadVector
     worst_error: float
     witness_b: np.ndarray
-    eps: float
     sampled_b: int
     verified_on_sample: bool
 
@@ -177,7 +181,7 @@ def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0) -
         if best[0] < eps:
             break
     err, a, wit = best
-    return SpreadSearchReport(a, err, wit, eps, SPREAD_B_SAMPLES, err < eps)
+    return SpreadSearchReport(a, err, wit, SPREAD_B_SAMPLES, err < eps)
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +190,33 @@ def spread_vector_search(m: int, eps: float, k_budget: int = 6, seed: int = 0) -
 
 
 def enumerate_equi(n: int, s: int, delta: float) -> list[tuple[int, ...]]:
-    """All surjections n -> s with every preimage count in the delta window."""
+    """All surjections n -> s with every preimage count in the delta window,
+    in lexicographic order: a depth-first walk over prefixes, kept on an
+    explicit stack, that skips a value when its count would pass the top of
+    the window or leave too few places for the counts still below its floor."""
     lo, hi = _window(n, s, delta)
-    out = []
-
-    def rec(prefix, counts):
-        if len(prefix) == n:
-            if all(lo <= c <= hi for c in counts):
-                out.append(tuple(prefix))
-            return
-        remaining = n - len(prefix)
-        # prune: each count must be able to reach lo and not exceed hi
-        need = sum(max(0, lo - c) for c in counts)
-        if need > remaining:
-            return
-        for v in range(s):
-            if counts[v] + 1 > hi:
-                continue
+    out, prefix, counts = [], [], [0] * s
+    need = s * lo  # places still owed to counts below lo
+    v = 0  # the next value to try at position len(prefix)
+    while True:
+        free = n - len(prefix) - 1  # places left after this one
+        while v < s and not (counts[v] < hi and need - (counts[v] < lo) <= free):
+            v += 1
+        if v < s:
+            need -= counts[v] < lo
             counts[v] += 1
             prefix.append(v)
-            rec(prefix, counts)
-            prefix.pop()
-            counts[v] -= 1
-
-    rec([], [0] * s)
-    return out
+            if len(prefix) == n:
+                out.append(tuple(prefix))
+            else:
+                v = 0
+                continue
+        elif not prefix:
+            return out
+        v = prefix.pop()  # backtrack: retire the last value, try the next one there
+        counts[v] -= 1
+        need += counts[v] < lo
+        v += 1
 
 
 @dataclass(frozen=True)
@@ -225,11 +231,22 @@ def exhaustive_ramsey_check(n: int, d: int, m: int, r: int, eps: float, delta: f
                             seed: int = 0, falsification_colorings: int = 10**6) -> RamseyCheckResult:
     """Decide (or randomly probe) the tiny-scale Ramsey statement: every
     r-coloring of the delta-window maps n -> d admits R in Equi(n, m) whose
-    Equi_delta(m, d)-orbit lies in one (delta+eps)-fattened color class."""
+    Equi_delta(m, d)-orbit lies in one (delta+eps)-fattened color class.
+    Refuses, before enumerating, n or a family of maps above ENUMERATION_CAP,
+    and r above the size of the universe."""
     if min(n, d, m, r) < 1 or not (math.isfinite(eps) and eps >= 0 and math.isfinite(delta) and delta >= 0):
         raise ValueError("need n, d, m, r >= 1 and finite eps, delta >= 0")
     if n % m != 0 or m % d != 0:
         raise ValueError("need d | m | n")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"need n at most ENUMERATION_CAP = {ENUMERATION_CAP}")
+    sizes = {"Equi_delta(n, d)": count_equi(n, d, delta)[0], "Equi_delta(m, d)": count_equi(m, d, delta)[0],
+             "Equi(n, m)": count_equi(n, m, 0.0)[0]}
+    for name, size in sizes.items():
+        if size > ENUMERATION_CAP:
+            raise ValueError(f"{name} holds more than ENUMERATION_CAP = {ENUMERATION_CAP} maps")
+    if r > sizes["Equi_delta(n, d)"]:  # U points take at most U colors, and each sweep allocates r classes
+        raise ValueError("need r at most the size of the universe Equi_delta(n, d)")
     universe = enumerate_equi(n, d, delta)
     U = len(universe)
     index = {u: i for i, u in enumerate(universe)}
@@ -275,17 +292,17 @@ def exhaustive_ramsey_check(n: int, d: int, m: int, r: int, eps: float, delta: f
     return _falsify_random(U, r, ball, orbit_masks, falsification_colorings, seed)
 
 
-def _classes_fattened(coloring, r, ball, U):
+def _refutes(coloring, r, ball, orbit_masks) -> bool:
+    """Whether no fattened color class of the coloring holds a whole orbit."""
     fat = [0] * r
-    for u in range(U):
-        fat[coloring[u]] |= ball[u]
-    return fat
+    for u, c in enumerate(coloring):
+        fat[c] |= ball[u]
+    return not any((om & ~f) == 0 for om in orbit_masks for f in fat)
 
 
 def _sweep_general(U, r, ball, orbit_masks, total) -> RamseyCheckResult:
     for bits in itertools.product(range(r), repeat=U):
-        fat = _classes_fattened(bits, r, ball, U)
-        if not any((om & ~f) == 0 for om in orbit_masks for f in fat):
+        if _refutes(bits, r, ball, orbit_masks):
             return RamseyCheckResult(True, False, total, tuple(bits))
     return RamseyCheckResult(True, True, total)
 
@@ -338,8 +355,7 @@ def _falsify_random(U, r, ball, orbit_masks, colorings, seed) -> RamseyCheckResu
     rng = rng_from_seed(seed)
     for _ in range(colorings):
         bits = rng.integers(0, r, size=U)
-        fat = _classes_fattened(bits, r, ball, U)
-        if not any((om & ~f) == 0 for om in orbit_masks for f in fat):
+        if _refutes(bits, r, ball, orbit_masks):
             return RamseyCheckResult(False, False, colorings, tuple(int(b) for b in bits))
     return RamseyCheckResult(False, True, colorings)
 
@@ -539,10 +555,7 @@ def dualize(gamma: LampertiEmbedding) -> tuple[np.ndarray, LampertiEmbedding]:
             raise ValueError(f"no unit column for coordinate {k}")
         f.append(col)
         theta.append(sign)
-    section = gamma_f_theta(f, theta, n)
-    comp = sigma @ section.to_linear_map().matrix
-    assert np.array_equal(comp, np.eye(d)), "section identity must hold exactly"
-    return sigma, section
+    return sigma, gamma_f_theta(f, theta, n)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +565,6 @@ def dualize(gamma: LampertiEmbedding) -> tuple[np.ndarray, LampertiEmbedding]:
 
 @dataclass(frozen=True)
 class DualRamseyDemo:
-    d: int
-    m: int
-    e: int
     n: int
     eps: float
     h_rigid: bool
@@ -651,4 +661,4 @@ def dual_ramsey_demo(d: int, m: int, e: int, seed: int = 0) -> DualRamseyDemo:
 
     HG = np.array([phi_letter(h[g_vals[j]]) for j in range(n)]).T  # (d, n)
     err = float(np.max(np.sum(np.abs(T @ S - HG), axis=0)))  # l_1 -> l_1 operator norm
-    return DualRamseyDemo(d, m, e, n, eps, h_rigid, err, h_rigid and err <= eps + 1e-12)
+    return DualRamseyDemo(n, eps, h_rigid, err, h_rigid and err <= eps + 1e-12)

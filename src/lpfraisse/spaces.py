@@ -18,7 +18,6 @@ import numpy as np
 from lpfraisse.core import (
     FLOAT_TOL,
     PIndex,
-    frac_from_json,
     frac_to_json,
     norm_p,
     rng_from_seed,
@@ -173,7 +172,7 @@ class LampertiEmbedding:
             obj["n"],
             PIndex.from_json(obj["p"]),
             tuple(
-                tuple(ColumnEntry(c["k"], c["s"], frac_from_json(c["wpow"])) for c in es)
+                tuple(ColumnEntry(c["k"], c["s"], Fraction(c["wpow"])) for c in es)
                 for es in obj["cols"]
             ),
         )
@@ -239,8 +238,8 @@ def distortion(T, samples: int = DEFAULT_SPHERE_SAMPLES, seed: int = 0) -> Disto
     lo = float(np.min(vals))
     if not T.domain_p.is_inf and float(T.domain_p) == 1:
         hi = max(col_norms)  # exact on the l_1 ball
-        return DistortionReport(lo, hi, False, _delta_from_bounds(lo, hi), samples, seed)
-    hi = float(np.max(vals))
+    else:
+        hi = float(np.max(vals))
     return DistortionReport(lo, hi, False, _delta_from_bounds(lo, hi), samples, seed)
 
 
@@ -288,17 +287,19 @@ def northwest_coupling(row: Sequence[Fraction], col: Sequence[Fraction]) -> dict
     Walk both margins in index order transferring the minimal residual mass;
     support size is at most len(row) + len(col) - 1.
     """
-    total_r = sum(row, Fraction(0))
-    total_c = sum(col, Fraction(0))
-    if total_r != total_c:
+    if sum(row, Fraction(0)) != sum(col, Fraction(0)):
         raise ValueError("margins must have equal total mass")
+    if min(row) < 0 or min(col) < 0:
+        raise ValueError("margins must be nonnegative")
+    # each step moves a or b on, so no cell is visited twice; with equal
+    # nonnegative totals both margins run out together
     pi: dict[tuple[int, int], Fraction] = {}
     a, b = 0, 0
     ra, cb = Fraction(row[0]), Fraction(col[0])
     while True:
         m = min(ra, cb)
         if m > 0:
-            pi[(a, b)] = pi.get((a, b), Fraction(0)) + m
+            pi[(a, b)] = m
         ra -= m
         cb -= m
         if ra == 0 and a + 1 < len(row):
@@ -307,16 +308,8 @@ def northwest_coupling(row: Sequence[Fraction], col: Sequence[Fraction]) -> dict
         elif cb == 0 and b + 1 < len(col):
             b += 1
             cb = Fraction(col[b])
-        elif ra == 0 and cb == 0:
-            break
-        elif ra == 0 or cb == 0:
-            # remaining margin entries are all zero
-            if ra == 0 and a + 1 >= len(row) and cb > 0:
-                raise ValueError("margins must have equal total mass")
-            if cb == 0 and b + 1 >= len(col) and ra > 0:
-                raise ValueError("margins must have equal total mass")
-            break
-    return pi
+        else:
+            return pi
 
 
 def product_coupling(row: Sequence[Fraction], col: Sequence[Fraction]) -> dict[tuple[int, int], Fraction]:

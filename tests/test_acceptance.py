@@ -3,8 +3,6 @@ and enforcing its runtime budget.  Trial counts and tolerances are pinned in
 lpfraisse.suite; run with `pytest tests/test_acceptance.py -v -s`.
 """
 
-import pytest
-
 from lpfraisse import suite
 
 SEED = 20_260_809
@@ -39,62 +37,15 @@ def _report(res):
         f"{res.name} exceeded its runtime budget: {res.runtime:.1f}s > {BUDGETS[res.name]}s")
 
 
-@pytest.fixture(scope="module")
-def results():
-    return {}
+def _acceptance_test(name):
+    def test():
+        _report(suite.ALL_CHECKS[name](seed=SEED))
+    return test
 
 
-def test_01_bump_identities(results):
-    _report(suite.check_bump_identities(seed=SEED))
-
-
-def test_02_cdf_inversion(results):
-    _report(suite.check_cdf_inversion(seed=SEED))
-
-
-def test_03_characteristic_uniqueness(results):
-    _report(suite.check_even_odd_uniqueness(seed=SEED))
-
-
-def test_04_matching_bound(results):
-    _report(suite.check_matching_bound(seed=SEED))
-
-
-def test_05_concentration_bound(results):
-    _report(suite.check_concentration_bound(seed=SEED))
-
-
-def test_06_window_counting(results):
-    _report(suite.check_window_counting(seed=SEED))
-
-
-def test_07_lattice_rounding(results):
-    _report(suite.check_lattice_rounding(seed=SEED))
-
-
-def test_08_amalgamation(results):
-    _report(suite.check_amalgamation(seed=SEED))
-
-
-def test_09_hilbert_rounding(results):
-    _report(suite.check_hilbert_rounding(seed=SEED))
-
-
-def test_10_mazur_transport(results):
-    _report(suite.check_mazur(seed=SEED))
-
-
-def test_11_envelope_pipeline(results):
-    _report(suite.check_envelope_pipeline(seed=SEED))
-
-
-def test_12_certificates(results):
-    _report(suite.check_certificates(seed=SEED))
-
-
-def test_13_spread_dp(results):
-    _report(suite.check_spread_dp(seed=SEED))
-
-
-def test_14_gap_geometry(results):
-    _report(suite.check_gap_geometry(seed=SEED))
+# one test per check, named test_01_bump_identities ... test_14_gap_geometry
+# in battery order, so that each can be selected on its own
+for _i, _name in enumerate(BUDGETS, 1):
+    _test = _acceptance_test(_name)
+    _test.__name__ = f"test_{_i:02d}_{_name.replace('-', '_')}"
+    globals()[_test.__name__] = _test

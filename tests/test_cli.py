@@ -70,6 +70,23 @@ def test_geometry_gap_csv(tmp_path):
     assert r.stdout == "certified,lower,samples,seed,upper\nFalse,1.0,12,0,1.0\n"
 
 
+def test_geometry_bm_csv(tmp_path):
+    # refused: the two axes of l_1^2 are at gap 1, over the 1/(2k) = 1/2 needed
+    # built: two lines of l_2^3 at gap 0.2425..., under it
+    subspaces = {"x1": (2, 1, [1.0, 0.0]), "y1": (2, 1, [0.0, 1.0]),
+                 "x2": (3, 2, [1.0, 0.0, 0.0]), "y2": (3, 2, [1.0, 0.0, 0.25])}
+    for name, (n, p, vector) in subspaces.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"ambient_n": n, "ambient_p": p, "basis": [vector]}))
+    refused = run_cli("geometry", "bm", "--x", str(tmp_path / "x1.json"), "--y", str(tmp_path / "y1.json"))
+    assert refused.returncode == 0
+    assert refused.stdout == "gap_upper,needed,refused\n1.0,0.5,True\n"
+    built = run_cli("geometry", "bm", "--x", str(tmp_path / "x2.json"), "--y", str(tmp_path / "y2.json"))
+    assert built.returncode == 0
+    assert built.stdout == ("bound,displacement,gap_lower,gap_upper,limit,seed\n"
+                            "0.49493292309452697,0.24253562503633297,0.24253562503633297,"
+                            "0.2425356250363334,0.9701425001453337,0\n")
+
+
 def refusal(argv, capsys) -> str:
     """The error of an argv that main refuses: exit 2, one JSON object on
     standard output and nothing on standard error."""
@@ -161,6 +178,11 @@ def test_parse_refusals_name_what_they_refuse(argv, name, capsys):
     (["ramsey", "demo", "-e", "0"], "need d, m, e >= 1"),
     (["ramsey", "search", "-m", "2", "--eps", "0.5", "--k-budget", "0"], "need k_budget >= 2"),
     (["mazur", "transfer", "--p", "1", "--q", "2", "--eps", "-0.1"], "finite eps >= 0"),
+    (["ramsey", "check", "-n", "3000", "-d", "2", "-m", "2", "--eps", "0.5"],
+     "Equi_delta(n, d) holds more than ENUMERATION_CAP"),
+    (["ramsey", "check", "-n", "1000000000"], "need n at most ENUMERATION_CAP"),
+    (["ramsey", "check", "-n", "12", "-d", "2", "-m", "6"], "Equi(n, m) holds more than ENUMERATION_CAP"),
+    (["ramsey", "check", "-r", "21"], "need r at most the size of the universe"),
 ])
 def test_out_of_domain_values_refused(argv, error, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("[[0.98], [0.35], [-0.02]]"))
@@ -304,6 +326,36 @@ def test_ramsey_check_exhaustive():
     assert out["decided"] and out["holds"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["ramsey", "check", "-n", "3000", "-d", "2", "-m", "2", "--eps", "0.5"],
+    ["ramsey", "check", "-n", "3000", "-d", "1", "-m", "1", "--eps", "0.5"],
+    ["ramsey", "check", "-n", "3000", "-d", "1", "-m", "1", "-r", "1", "--eps", "0.5"],
+])
+def test_ramsey_check_at_large_n_answers_within_a_second(argv, capsys):
+    # the universe of the last two is one map of 3000 points, enumerated without recursion
+    from lpfraisse import cli
+
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 1
+    out, _ = capsys.readouterr()
+    assert code in (0, 2) and out.count("\n") == 1
+    report = json.loads(out)
+    assert code == 2 or report["decided"] and report["holds"]
+
+
+def test_ramsey_demo_reports_its_seed(capsys):
+    # the seed draws the rigid surjection, whose length n differs between seeds 0 and 1
+    from lpfraisse import cli
+
+    reports = []
+    for seed in (0, 1):
+        assert cli.main(["--seed", str(seed), "ramsey", "demo"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["seed"] for r in reports] == [0, 1]
+    assert reports[0]["n"] != reports[1]["n"]
+
+
 def test_error_path_exit_code():
     r = run_cli("measures", "char", "--input", "/nonexistent.json")
     assert r.returncode == 2
@@ -365,7 +417,7 @@ def test_suite_unknown_criterion_exit_code():
 def test_suite_exit_code_counts_uncertified_checks(monkeypatch, capsys):
     from lpfraisse import cli, suite
 
-    failing = suite.CheckResult("gap-geometry", passed=False, runtime=0.0, certified=False)
+    failing = suite.CheckResult(passed=False, certified=False, name="gap-geometry")
     monkeypatch.setattr(suite, "run_suite", lambda **kwargs: [failing])
     assert cli.main(["--format", "json", "suite"]) == 1
     assert json.loads(capsys.readouterr().out)["all_passed"] is False

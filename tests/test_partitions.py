@@ -20,22 +20,22 @@ class TestBuildAppropriate:
         rng = rng_from_seed(1)
         sp = uniform_space(16)
         vals = rng.uniform(0, 1, size=(1, 16))
-        part, pb = build_appropriate(vals, sp, 0.3, 1)
+        part, cells = build_appropriate(vals, sp, 0.3, 1)
         assert np.max(np.diff(part.breakpoints[0])) < 0.3 / 3 + 1e-12
         # no mass beyond K
-        assert all(k[0] != TAIL for k in pb.positive_keys)
+        assert all(k[0] != TAIL for k in sorted(cells))
 
     def test_constant_function_single_cell(self):
         sp = uniform_space(8)
         vals = np.full((1, 8), 0.37)
-        part, pb = build_appropriate(vals, sp, 0.5, 1)
-        assert len(pb.positive_keys) == 1
+        part, cells = build_appropriate(vals, sp, 0.5, 1)
+        assert len(sorted(cells)) == 1
 
     def test_breakpoints_avoid_atom_values(self):
         rng = rng_from_seed(2)
         sp = uniform_space(20)
         vals = rng.normal(size=(2, 20))
-        part, pb = build_appropriate(vals, sp, 0.4, 3)
+        part, cells = build_appropriate(vals, sp, 0.4, 3)
         for ax in range(2):
             for b in part.breakpoints[ax]:
                 assert not np.any(np.isclose(vals[ax], b, rtol=0, atol=0))
@@ -47,7 +47,7 @@ class TestBuildAppropriate:
         rng = rng_from_seed(3)
         sp = uniform_space(32)
         vals = rng.normal(size=(2, 32))
-        part, pb = build_appropriate(vals, sp, 0.4, 1)
+        part, cells = build_appropriate(vals, sp, 0.4, 1)
         assert tail_weight(vals, sp.masses, part.K, 1) < 0.4 / 3
         pert = vals + rng.uniform(-1e-4, 1e-4, size=vals.shape)
         assert tail_weight(pert, sp.masses, part.K, 1) < 0.4 / 3
@@ -138,29 +138,29 @@ class TestConditionalExpectation:
         rng = rng_from_seed(4)
         sp = uniform_space(12)
         vals = rng.normal(size=(1, 12))
-        part, pb = build_appropriate(vals, sp, 0.5, 1)
-        f = conditional_expectation(rng.normal(size=12), pb, sp)
-        again = conditional_expectation(f, pb, sp)
+        part, cells = build_appropriate(vals, sp, 0.5, 1)
+        f = conditional_expectation(rng.normal(size=12), cells, sp)
+        again = conditional_expectation(f, cells, sp)
         assert again == pytest.approx(f)
 
     def test_single_cell_gives_mean(self):
         sp = DiscreteSpace(((0, Fraction(1, 4)), (1, Fraction(3, 4))))
         vals = np.zeros((1, 2))
-        part, pb = build_appropriate(vals, sp, 0.5, 1)
+        part, cells = build_appropriate(vals, sp, 0.5, 1)
         f = np.array([4.0, 0.0])
-        ef = conditional_expectation(f, pb, sp)
+        ef = conditional_expectation(f, cells, sp)
         assert ef == pytest.approx(np.array([1.0, 1.0]))
 
     def test_norm_one_projection(self):
         rng = rng_from_seed(5)
         sp = uniform_space(20)
         vals = rng.normal(size=(2, 20))
-        part, pb = build_appropriate(vals, sp, 0.3, 2)
+        part, cells = build_appropriate(vals, sp, 0.3, 2)
         for p in (1, 2, 3):
             pidx = PIndex.of(p)
             for _ in range(40):
                 f = rng.normal(size=20)
-                assert sp.norm(conditional_expectation(f, pb, sp), pidx) <= sp.norm(f, pidx) + 1e-12
+                assert sp.norm(conditional_expectation(f, cells, sp), pidx) <= sp.norm(f, pidx) + 1e-12
 
     def test_projection_error_on_partitioned_functions(self):
         # the defining functions are reproduced within eps
@@ -169,21 +169,21 @@ class TestConditionalExpectation:
             sp = uniform_space(32)
             vals = rng.normal(size=(2, 32))
             eps = 0.35
-            part, pb = build_appropriate(vals, sp, eps, p)
+            part, cells = build_appropriate(vals, sp, eps, p)
             pidx = PIndex.of(p)
             for j in range(2):
-                err = sp.norm(vals[j] - conditional_expectation(vals[j], pb, sp), pidx)
+                err = sp.norm(vals[j] - conditional_expectation(vals[j], cells, sp), pidx)
                 assert err <= eps + 1e-12
 
     def test_trailing_axes_match_columns(self):
         rng = rng_from_seed(14)
         sp = DiscreteSpace(tuple((i, Fraction(int(rng.integers(1, 9)), 50)) for i in range(18)))
         vals = rng.normal(size=(2, 18))
-        part, pb = build_appropriate(vals, sp, 0.6, 3)
+        part, cells = build_appropriate(vals, sp, 0.6, 3)
         f = rng.normal(size=(18, 5))
-        ef = conditional_expectation(f, pb, sp)
+        ef = conditional_expectation(f, cells, sp)
         for j in range(5):
-            assert ef[:, j] == pytest.approx(conditional_expectation(f[:, j], pb, sp), rel=1e-14)
+            assert ef[:, j] == pytest.approx(conditional_expectation(f[:, j], cells, sp), rel=1e-14)
 
     def test_tail_and_bounded_pieces(self):
         # restricted-piece inequalities behind the projection error
@@ -192,18 +192,18 @@ class TestConditionalExpectation:
         sp = uniform_space(40)
         vals = np.concatenate([rng.normal(size=(1, 36)), 50 + rng.normal(size=(1, 4)) * 10], axis=1)
         eps = 0.5
-        part, pb = build_appropriate(vals, sp, eps, p)
+        part, cells = build_appropriate(vals, sp, eps, p)
         masses = sp.masses
-        ef = conditional_expectation(vals[0], pb, sp)
+        ef = conditional_expectation(vals[0], cells, sp)
         for axis in (0,):
-            un_keys = [k for k in pb.positive_keys if k[axis] == TAIL]
-            atoms_un = [a for k in un_keys for a in pb.cells[k]]
+            un_keys = [k for k in sorted(cells) if k[axis] == TAIL]
+            atoms_un = [a for k in un_keys for a in cells[k]]
             if atoms_un:
                 lhs = np.sum(np.abs(ef[atoms_un]) ** p * masses[atoms_un])
                 mid = np.sum(np.abs(vals[0][atoms_un]) ** p * masses[atoms_un])
                 assert lhs <= mid + 1e-12
                 assert mid < eps**p / 3 + 1e-12
-            atoms_b = [a for k in pb.positive_keys if k[axis] != TAIL for a in pb.cells[k]]
+            atoms_b = [a for k in sorted(cells) if k[axis] != TAIL for a in cells[k]]
             err = np.sum(np.abs(ef[atoms_b] - vals[0][atoms_b]) ** p * masses[atoms_b])
             assert err <= eps**p / 3 + 1e-12
 
@@ -235,11 +235,12 @@ class TestEnvelope:
         sp = uniform_space(16)
         B = np.column_stack([np.ones(16), rng.normal(size=16)])
         env = envelope(B, sp, 0.3, 3, seed=2)
+        atoms = env.partition.cells_of(env.basis.T)
         for _ in range(20):
             c = rng.normal(size=env.num_cells)
             f = np.zeros(16)
             for ci, key in enumerate(env.cell_keys):
-                f[list(env.pullback.cells[key])] = c[ci]
+                f[list(atoms[key])] = c[ci]
             cells = DiscreteSpace(tuple(zip(env.cell_keys, env.weights)))
             assert cells.norm(c, env.p) == pytest.approx(sp.norm(f, env.p), rel=1e-12)
 
@@ -249,17 +250,19 @@ class TestTransfer:
         rng = rng_from_seed(11)
         sp = uniform_space(24)
         B = np.column_stack([np.ones(24), rng.normal(size=24)])
-        env = envelope(B, sp, 0.25, 1, seed=3)
+        eps = 0.25
+        env = envelope(B, sp, eps, 1, seed=3)
         tr = transfer_isometry(env, env.basis, sp, seed=3)
         assert tr.isometric_exact
-        assert tr.defect <= env.eps + 1e-12
+        assert tr.defect <= eps + 1e-12
         assert all(r == 1 for r in tr.ratios)
 
     def test_refinement_transfer(self):
         rng = rng_from_seed(12)
         sp = uniform_space(12)
         B = np.column_stack([np.ones(12), rng.normal(size=12)])
-        env = envelope(B, sp, 0.3, 3, seed=4)
+        eps = 0.3
+        env = envelope(B, sp, eps, 3, seed=4)
         # split every atom in two children with uneven masses
         child_parent = [i for i in range(12) for _ in range(2)]
         masses = []
@@ -270,7 +273,7 @@ class TestTransfer:
         G = env.basis[child_parent, :]
         tr = transfer_isometry(env, G, sp1, seed=4)
         assert tr.isometric_exact
-        assert tr.defect <= env.eps
+        assert tr.defect <= eps
 
     def test_cell_mismatch_refusal(self):
         rng = rng_from_seed(13)
@@ -298,7 +301,7 @@ def test_cells_of_matches_per_atom_lookup():
         nfun, natoms = 1 + trial % 3, 10 + 7 * trial
         sp = DiscreteSpace(tuple((i, Fraction(int(rng.integers(1, 9)), 64)) for i in range(natoms)))
         vals = rng.normal(size=(nfun, natoms)) * (1 + trial % 4)
-        part, pb = build_appropriate(vals, sp, 0.5, (1, 3)[trial % 2])
+        part, cells = build_appropriate(vals, sp, 0.5, (1, 3)[trial % 2])
         # probe values: the atoms, every breakpoint and its neighbours,
         # +-K, beyond K and signed zeros
         probes = [vals]
@@ -318,7 +321,7 @@ def test_cells_of_matches_per_atom_lookup():
         assert list(got) == list(want)
         assert all(got[k] == tuple(v) for k, v in want.items())
         assert any(TAIL in k for k in got)
-        assert pb.cells == part.cells_of(vals)
+        assert cells == part.cells_of(vals)
 
 
 def test_xi_matches_per_cell_loop():
@@ -329,8 +332,9 @@ def test_xi_matches_per_cell_loop():
         B = np.column_stack([np.ones(natoms)] + [rng.normal(size=natoms) for _ in range(k - 1)])
         env = envelope(B, sp, 0.5, (1, 3)[trial % 2], seed=trial, samples=64)
         xi = np.zeros((env.num_cells, k))
+        cells = env.partition.cells_of(env.basis.T)
         for ci, key in enumerate(env.cell_keys):
-            idx = list(env.pullback.cells[key])
+            idx = list(cells[key])
             w = sp.masses[idx]
             xi[ci] = (w[:, None] * env.basis[idx]).sum(axis=0) / w.sum()
         assert np.array_equal(env.xi, xi)
@@ -346,10 +350,11 @@ def test_batched_defects_match_per_sample_loop():
         env = envelope(B, sp, 0.9, p, seed=6, samples=64)
         G = env.basis
         tr = transfer_isometry(env, G, sp, seed=6, samples=64)
+        cells = env.partition.cells_of(env.basis.T)
         env_defect = tr_defect = 0.0
         for c in rng_from_seed(7).standard_normal((64, 2)):
             f = env.basis @ c
-            err = sp.norm(conditional_expectation(f, env.pullback, sp) - f, pidx)
+            err = sp.norm(conditional_expectation(f, cells, sp) - f, pidx)
             env_defect = max(env_defect, err / sp.norm(f, pidx))
         for c in rng_from_seed(8).standard_normal((64, 2)):
             err = sp.norm(tr.matrix @ (env.xi @ c) - G @ c, pidx)

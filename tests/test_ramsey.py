@@ -255,3 +255,12 @@ def test_enumerate_equi_windows():
     out = enumerate_equi(4, 2, 0.5)
     assert len(out) == 14
 
+
+@pytest.mark.parametrize("n, s, delta", [(1, 1, 0.0), (4, 2, 0.0), (6, 3, 0.5), (7, 3, 0.25), (6, 6, 0.0),
+                                         (5, 2, 1.0), (8, 2, 0.25)])
+def test_enumerate_equi_is_the_filtered_product(n, s, delta):
+    # every map n -> s, in lexicographic order, kept when its counts lie in the window
+    lo, hi = equi._window(n, s, delta)
+    want = [v for v in itertools.product(range(s), repeat=n)
+            if all(lo <= v.count(c) <= hi for c in range(s))]
+    assert enumerate_equi(n, s, delta) == want

@@ -179,6 +179,11 @@ class TestCouplings:
         with pytest.raises(ValueError):
             product_coupling([Fraction(1)], [Fraction(1, 2)])
 
+    def test_negative_margin_rejected(self):
+        # equal totals, yet no coupling has a negative marginal
+        with pytest.raises(ValueError, match="nonnegative"):
+            northwest_coupling([Fraction(1), Fraction(-1), Fraction(1)], [Fraction(1)])
+
 
 class TestComposeApply:
     def test_apply_identity(self):
